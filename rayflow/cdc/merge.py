@@ -8,19 +8,22 @@ key ``(conv_id, turn_idx)`` the row with the maximum ``lsn`` wins
 (``src_ts`` is the documented tiebreak; LSNs are unique by construction);
 a winning ``delete`` removes the key.
 
-Execution shape (all Ray-Data-native):
+Execution shape:
 
-1. **Partial reduce** inside ``map_batches`` *before* the shuffle
-   (:func:`lww_reduce` per block) — collapses repeated updates to the
-   same key so hot conversations don't inflate the exchange (the
-   combiner trick; this is the main skew defuser alongside salting).
-2. ``groupby(_part_id).map_groups(MergeWorker, concurrency=N)`` — an
-   actor pool; each group is one lake partition's delta for the current
-   band.  The worker hydrates the partition's base state (hash-indexed
-   latest-version rows in the lake Parquet file — the durable form of the
-   per-partition latest-version map), applies the LWW reduce over
-   ``base ∪ delta`` with Arrow-schema unification (column add / int
-   widen), and writes the new partition state file idempotently.
+1. **Partial reduce** in :class:`NormalizeChanges`, per change-log file
+   *before* any routing (:func:`lww_reduce` per block) — collapses
+   repeated updates to the same key so hot conversations don't inflate
+   what the merge stage buffers (the combiner trick; this is the main
+   skew defuser alongside salting).
+2. **Merge** (:func:`merge_partition_delta`, called by each merge
+   actor's ``flush`` in :mod:`rayflow.cdc.streaming`) — per lake
+   partition: hydrate the base state (hash-indexed latest-version rows
+   in the lake Parquet file — the durable form of the per-partition
+   latest-version map), LWW-reduce ``base ∪ delta`` with Arrow-schema
+   unification (column add / int widen), and write the new partition
+   state file idempotently.  The merge actor runs in the driver
+   process for small commit groups and as a Ray actor pool for large
+   ones (:mod:`rayflow.cdc.replay`); the stages are the same objects.
 
 Partition state files are pure functions of ``(part_id, band_hi)`` so a
 retried task overwrites the same path with identical content; commit is
@@ -60,7 +63,7 @@ def lww_reduce(tbl: pa.Table, key_cols: list[str] = KEY_COLUMNS,
 
 
 class NormalizeChanges:
-    """Stateless pre-shuffle stage (``map_batches`` over zero-copy Arrow).
+    """Stateless stage over one change-log file's zero-copy Arrow table.
 
     Casts every batch to the band's unified change schema (schema
     evolution happens here for the in-flight stream), validates the
@@ -125,8 +128,8 @@ def merge_partition_delta(
     band_hi: int,
 ) -> dict:
     """LWW-merge one partition's delta with its base state and write the
-    new state file idempotently.  Shared by the shuffle-mode MergeWorker
-    and the streaming MergeActor pool."""
+    new state file idempotently.  Called by the merge actor's ``flush``
+    under both replay drivers (in process and pooled)."""
     delta = drop_duplicate_lsns(delta)
     if base is not None and base.num_rows > 0:
         # dress base rows as pseudo-changes: lsn = stored _lsn, op = 'base'
@@ -174,54 +177,3 @@ def hydrate_base(base_files: dict[int, str], part_id: int) -> pa.Table | None:
     if path is None or not os.path.exists(path):
         return None
     return pq.read_table(path)
-
-
-class MergeWorker:
-    """Shuffle-mode group merge: one call = one lake partition's delta
-    (fed by ``groupby(_part_id).map_groups``, an actor pool).
-
-    Stateful per the reference's cache/dedupe resources (SURVEY.md §2.6):
-    constructed once per actor; per-call state (the partition's latest-
-    version rows) is hydrated from the lake — durable Parquet is the
-    source of truth, actor memory only a working set, so failed/retried
-    tasks are always safe (SURVEY.md §7.4 read-back hydration rule).
-    """
-
-    def __init__(self, lake_dir: str, base_files: dict[int, str],
-                 change_schema: pa.Schema, band_hi: int):
-        self.lake_dir = lake_dir
-        self.base_files = base_files
-        self.change_schema = change_schema
-        self.lake_schema = lake_schema_for(change_schema)
-        self.band_hi = band_hi
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _stats_table([])
-        part_id = int(group[PART_COL][0].as_py())
-        delta = group.drop_columns([PART_COL])
-        stats = merge_partition_delta(
-            delta,
-            hydrate_base(self.base_files, part_id),
-            lake_dir=self.lake_dir,
-            part_id=part_id,
-            band_hi=self.band_hi,
-        )
-        return _stats_table([stats])
-
-
-_STATS_SCHEMA = pa.schema(
-    [
-        ("part_id", pa.int32()),
-        ("file", pa.string()),
-        ("rows", pa.int64()),
-        ("n_events", pa.int64()),
-        ("lsn_hi", pa.int64()),
-    ]
-)
-
-
-def _stats_table(rows: list[dict]) -> pa.Table:
-    if not rows:
-        return _STATS_SCHEMA.empty_table()
-    return pa.Table.from_pylist(rows, schema=_STATS_SCHEMA)

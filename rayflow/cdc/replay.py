@@ -2,23 +2,38 @@
 
 The Ray-Data-native rebuild of the reference's stream lifecycle
 (``⟨upstream: internal/stream/type.go⟩`` input → pipeline → output with
-ack-gated offset commit): each *band* (contiguous LSN range) is one
-micro-batch —
+ack-gated offset commit): each *commit group* (``bands_per_commit``
+contiguous LSN bands) is one micro-batch, run by one of two drivers
+chosen per group from its raw event count (Parquet footers, no data
+read):
 
-    read_parquet(band files)                  # lazy, streaming blocks
-      → map_batches(NormalizeChanges)         # zero-copy Arrow: cast to the
-                                              #   band's unified schema, validate,
-                                              #   partial LWW reduce, salted part_id
-      → groupby(_part_id)                     # the one shuffle, keyed and salted
-      → map_groups(MergeWorker, concurrency)  # actor pool: hydrate + LWW + write
-      → take_all()                            # only tiny per-partition stats rows
-    manifest.commit_band(...)                 # atomic exactly-once commit
+- **local** — at most :data:`LOCAL_MAX_EVENTS` events, in the driver
+  process::
 
-Only statistics rows ever reach the driver; transcript data streams
-from the change log to the lake through the object store.  Partition
-count and the salt plan are fixed at lake creation and persisted in the
-manifest — key→partition placement must be stable for the lifetime of
-the lake (a moved key would LWW against the wrong base state).
+    for each file: pq.read_table → NormalizeChanges → merger.apply
+    merger.flush(...)                         # one in-process merge actor
+
+- **pool** — larger groups, on the cluster::
+
+    Dataset of file paths
+      → map_batches(read → NormalizeChanges → RouteToPool)   # tasks
+      → MergePool actors: apply, then flush                  # stateful
+
+  The pool is started lazily, by the first such group of a ``replay``
+  call, and lives until the call returns.
+
+Both drivers call the same stage objects — :class:`NormalizeChanges`
+(cast to the group's unified schema, validate the envelope, per-block
+LWW, salted part id), the merge actor class
+(:class:`rayflow.cdc.streaming._MergeActorImpl`, whose ``flush`` calls
+:func:`rayflow.cdc.merge.merge_partition_delta`) — and end in the
+driver's ``manifest.commit_band(...)``, the atomic exactly-once commit.
+Each lineage record names the driver that ran it (``executor``).
+
+Partition count and the salt plan are fixed at lake creation and
+persisted in the manifest — key→partition placement must be stable for
+the lifetime of the lake (a moved key would LWW against the wrong base
+state).
 """
 
 from __future__ import annotations
@@ -28,12 +43,29 @@ import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
-from rayflow.cdc.merge import MergeWorker, NormalizeChanges, lake_schema_for
+from rayflow.cdc.merge import NormalizeChanges, lake_schema_for
 from rayflow.cdc.partitioner import PART_COL, plan_salts
 from rayflow.cdc.sink import LakeManifest
 from rayflow.cdc.source import band_schema, list_bands
+from rayflow.cdc.streaming import _MergeActorImpl, check_placement
 from rayflow.schema import META_LSN, unify
+
+#: Commit groups of at most this many raw change events are applied in
+#: the driver process: no merge-actor pool, no Dataset, no routing task.
+#: Larger groups go to the merge-actor pool, which a multi-node cluster
+#: spreads out.  Sized from one-group replays (8 files) onto a
+#: 64-partition base lake, Ray at 4 logical CPUs on 4 shared vCPUs;
+#: median of 3 replay-call wall times, local / pool:
+#:   3 k events 0.47 / 1.92 s    30 k 0.75 / 2.41 s
+#:   100 k      0.96 / 2.27 s    300 k 1.24 / 2.13 s
+#: There the local driver costs ~2.6 µs per event over a fixed ~0.45 s
+#: and the pool ~0.7 µs per event over a fixed ~1.9 s (actor and Dataset
+#: start), so they cross near 750 k.  The limit stays well below a
+#: 615 k-event backfill group, so such groups keep the pool's
+#: parallelism on multi-node clusters.
+LOCAL_MAX_EVENTS = 300_000
 
 
 @dataclass
@@ -54,7 +86,8 @@ class CdcEngine:
     ``num_partitions`` bounds per-partition merge state (size it so one
     partition's latest-version rows fit a worker's heap at target scale:
     P ≈ total_keys × row_bytes / partition_budget).  ``merge_concurrency``
-    sizes the merge actor pool; leave headroom for the read/normalize
+    sizes the merge actor pool that commit groups above
+    :data:`LOCAL_MAX_EVENTS` use; leave headroom for the read/normalize
     stages so the streaming executor can pipeline (SURVEY.md §4).
     """
 
@@ -68,6 +101,9 @@ class CdcEngine:
         seed: int = 42,
         merge_placement: str = "spread",
     ):
+        # checked here, not when the pool starts: small groups never
+        # start one, and a bad value must not pass silently
+        check_placement(merge_placement)
         self.lake_dir = lake_dir
         self.num_partitions = num_partitions
         self.merge_concurrency = merge_concurrency
@@ -96,51 +132,22 @@ class CdcEngine:
     # -- replay ------------------------------------------------------------
 
     def replay(self, log_dir: str, max_bands: int | None = None,
-               bands_per_commit: int = 1, mode: str = "streaming") -> ReplayStats:
+               bands_per_commit: int = 1) -> ReplayStats:
         """Apply all un-committed bands of ``log_dir`` (resume-safe).
 
         ``bands_per_commit`` is the checkpoint-granularity knob (the
-        batching-policy analogue): N bands are processed in ONE Dataset
-        execution and committed atomically together.  Larger groups
-        amortize per-execution overheads (shuffle setup, merge actor-pool
-        startup, lake rewrite amplification) at the cost of coarser
-        resume granularity — a crash redoes the whole in-flight group.
+        batching-policy analogue): N bands are applied as ONE group and
+        committed atomically together.  Larger groups amortize
+        per-commit overheads (lake rewrite amplification, and for pooled
+        groups Dataset start-up) at the cost of coarser resume
+        granularity — a crash redoes the whole in-flight group.
 
-        ``mode``:
-
-        - ``"streaming"`` (default): long-lived merge-actor pool with
-          direct key routing (:mod:`rayflow.cdc.streaming`) — no sort
-          machinery, stable wall-times, actors persist across commit
-          groups within this call.
-        - ``"shuffle"``: ``groupby(_part_id).map_groups`` exchange —
-          fully Dataset-native; used as a correctness cross-check and
-          when actor RAM for a group's delta is unavailable.
-
-        Both modes produce byte-identical lake state (tested).
+        Each group runs on one of two drivers (module docstring): in
+        this process when it holds at most :data:`LOCAL_MAX_EVENTS` raw
+        events, else on the merge-actor pool, started by the first such
+        group and shut down when this call returns.  Both run the same
+        stages and produce identical lake state (tested).
         """
-        import ray
-        import ray.data as rd
-        from ray.data import DataContext
-        from ray.data.context import ShuffleStrategy
-
-        # The merge exchange is a key-partitioned groupby; the default
-        # pull-based sort shuffle serializes badly on wide inputs (measured
-        # 3-4x slower at sf0.1).  Push-based overlaps map and reduce.
-        DataContext.get_current().shuffle_strategy = (
-            ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-        )
-
-        # actor-pool size: leave headroom for read/normalize stages so the
-        # streaming executor can pipeline instead of serializing stages
-        merge_conc = self.merge_concurrency or max(
-            1,
-            min(
-                self.num_partitions,
-                int(ray.cluster_resources().get("CPU", 8)) - 2,
-                16,  # merge calls are short; a bigger pool just pays startup
-            ),
-        )
-
         stats = ReplayStats()
         t0 = time.perf_counter()
         bands = list_bands(log_dir, after_lsn=self.manifest.committed_lsn)
@@ -151,6 +158,8 @@ class CdcEngine:
         if (
             self.auto_salt and not salts and self.manifest.committed_lsn < 0 and bands
         ):
+            import ray.data as rd
+
             # Plan the salt map ONCE at lake creation from a sample of the
             # visible log, then persist it: key→partition placement must
             # stay stable forever.  Sampling is FILE-level (deterministic,
@@ -171,29 +180,12 @@ class CdcEngine:
                 sample_fraction=1.0,
                 seed=self.seed,
             )
-        import pyarrow.parquet as pq
-
-        pool = None
-        if mode == "streaming" and bands:
-            from rayflow.cdc.streaming import MergePool
-
-            n_cpus = int(ray.cluster_resources().get("CPU", 8))
-            # cap the pool: merge calls are short, and oversubscribing
-            # physical cores (actors + routing tasks) degrades sharply on
-            # SMT boxes (measured: 32 vCPUs/16 cores, see BASELINE.md)
-            n_actors = self.merge_concurrency or max(
-                1, min(self.num_partitions, n_cpus // 2, 12)
-            )
-            pool = MergePool(
-                num_actors=n_actors,
-                fail_after_applies=getattr(self, "_test_fail_after_applies", None),
-                placement=self.merge_placement,
-            )
 
         groups = [
             bands[i : i + bands_per_commit]
             for i in range(0, len(bands), max(1, bands_per_commit))
         ]
+        pool = None
         try:
             for group in groups:
                 tb0 = time.perf_counter()
@@ -204,65 +196,35 @@ class CdcEngine:
                 if prior is not None:
                     step_schema = unify(prior, step_schema)
 
-                # event count from parquet footers (no data read, no extra
-                # Dataset execution)
+                # event count from parquet footers (no data read)
                 n_raw = sum(pq.read_metadata(f).num_rows for f in files)
                 normalize = NormalizeChanges(
                     step_schema, self.num_partitions, salts
                 )
-
-                if pool is not None:
-                    from rayflow.cdc.streaming import (
-                        make_read_normalize_route,
-                    )
-
-                    paths = rd.from_items(
-                        [{"path": f} for f in files],
-                        override_num_blocks=len(files),
-                    )
-                    routed = paths.map_batches(
-                        make_read_normalize_route(
-                            normalize, pool.actors, pool.num_actors),
-                        batch_size=1,
-                        batch_format="pyarrow",
-                        zero_copy_batch=True,
-                        # cap routing tasks only above the SMT cliff; an
-                        # explicit cap below it just constrains the scheduler
-                        # (RAYFLOW_ROUTE_TASKS overrides for sweeps)
-                        **(
-                            {"concurrency": int(os.environ.get(
-                                "RAYFLOW_ROUTE_TASKS", "14"))}
-                            if int(ray.cluster_resources().get("CPU", 8)) > 20
-                            else {}
-                        ),
-                    )
-                    routed.take_all()  # drive the stream through the pool
-                    part_stats = pool.flush(
+                fail_after = getattr(self, "_test_fail_after_applies", None)
+                if n_raw <= LOCAL_MAX_EVENTS:
+                    executor = "local"
+                    merger = _MergeActorImpl(0, 1, fail_after_applies=fail_after)
+                    for path in files:
+                        merger.apply(normalize(pq.read_table(path)))
+                    part_stats = merger.flush(
                         self.lake_dir, self.manifest.partition_files(), group_hi
                     )
                 else:
-                    normalized = rd.read_parquet(files).map_batches(
-                        normalize, batch_format="pyarrow", zero_copy_batch=True
+                    executor = "pool"
+                    if pool is None:
+                        pool = self._start_pool(fail_after)
+                    part_stats = _apply_on_pool(
+                        pool, files, normalize, self.lake_dir,
+                        self.manifest.partition_files(), group_hi,
                     )
-                    merged = normalized.groupby(PART_COL).map_groups(
-                        MergeWorker,
-                        fn_constructor_kwargs=dict(
-                            lake_dir=self.lake_dir,
-                            base_files=self.manifest.partition_files(),
-                            change_schema=step_schema,
-                            band_hi=group_hi,
-                        ),
-                        batch_format="pyarrow",
-                        concurrency=merge_conc,
-                        num_cpus=1,
-                    )
-                    part_stats = merged.take_all()  # P tiny rows
                 wall = time.perf_counter() - tb0
 
                 lineage = {
                     "band_ids": [b.band_id for b in group],
                     "lsn_lo": min(b.lsn_lo for b in group),
                     "lsn_hi": group_hi,
+                    "executor": executor,
                     "input_files": [
                         f.split("/")[-2] + "/" + f.split("/")[-1] for f in files
                     ],
@@ -320,12 +282,29 @@ class CdcEngine:
         stats.wall_s = time.perf_counter() - t0
         return stats
 
+    def _start_pool(self, fail_after: int | None):
+        import ray
+
+        from rayflow.cdc.streaming import MergePool
+
+        n_cpus = int(ray.cluster_resources().get("CPU", 8))
+        # cap the pool: merge calls are short, and oversubscribing
+        # physical cores (actors + routing tasks) degrades sharply on
+        # SMT boxes (measured: 32 vCPUs/16 cores, see BASELINE.md)
+        n_actors = self.merge_concurrency or max(
+            1, min(self.num_partitions, n_cpus // 2, 12)
+        )
+        return MergePool(
+            num_actors=n_actors,
+            fail_after_applies=fail_after,
+            placement=self.merge_placement,
+        )
+
     # -- maintenance -------------------------------------------------------
 
     def tail(self, log_dir: str, *, poll_interval: float = 0.25,
              idle_rounds: int = 3, max_rounds: int | None = None,
-             bands_per_commit: int = 1, mode: str = "streaming",
-             on_round=None) -> ReplayStats:
+             bands_per_commit: int = 1, on_round=None) -> ReplayStats:
         """Continuous incremental apply — the reference's daemon loop
         (``benthos -c`` runs forever; here bounded for testability).
 
@@ -341,8 +320,6 @@ class CdcEngine:
         Returns aggregate stats across all apply rounds; ``on_round``
         (if given) is called with each round's ReplayStats.
         """
-        from rayflow.cdc.source import list_bands as _lb
-
         total = ReplayStats()
         idle = 0
         rounds = 0
@@ -350,7 +327,7 @@ class CdcEngine:
             rounds += 1
             if max_rounds is not None and rounds > max_rounds:
                 break
-            pending = _lb(log_dir, after_lsn=self.manifest.committed_lsn)
+            pending = list_bands(log_dir, after_lsn=self.manifest.committed_lsn)
             if not pending:
                 idle += 1
                 if idle >= idle_rounds:
@@ -358,8 +335,7 @@ class CdcEngine:
                 time.sleep(poll_interval)
                 continue
             idle = 0
-            st = self.replay(log_dir, bands_per_commit=bands_per_commit,
-                             mode=mode)
+            st = self.replay(log_dir, bands_per_commit=bands_per_commit)
             total.bands_applied += st.bands_applied
             total.n_events += st.n_events
             total.wall_s += st.wall_s
@@ -503,8 +479,8 @@ class CdcEngine:
             """Write one new partition's state file; emit a stats row.
 
             Path is a pure function of ``(pid, hi, new_p)`` so retried
-            tasks converge — the same idempotence contract as
-            MergeWorker state files."""
+            tasks converge — the same idempotence contract as merge
+            state files."""
 
             def __call__(self, group: pa.Table) -> pa.Table:
                 import pyarrow.compute as pc
@@ -696,7 +672,9 @@ class CdcEngine:
         """The lake's commit audit trail as a queryable Arrow table —
         one row per manifest commit (replay band group or compaction),
         straight from the durable manifest so it survives restarts and
-        is identical for every reader."""
+        is identical for every reader.  ``executor`` names the replay
+        driver of the commit ("local" | "pool"; null for maintenance
+        commits)."""
         rows = []
         for i, ln in enumerate(self.manifest.state.get("lineage", [])):
             rows.append({
@@ -704,6 +682,7 @@ class CdcEngine:
                 "kind": "compaction" if ln.get("compaction") else "replay",
                 "lsn_lo": ln.get("lsn_lo"),
                 "lsn_hi": ln.get("lsn_hi"),
+                "executor": ln.get("executor"),
                 "n_bands": len(ln.get("band_ids", []) or []),
                 "n_events": ln.get("n_events"),
                 "n_partitions_touched": (
@@ -716,6 +695,7 @@ class CdcEngine:
         schema = pa.schema([
             ("commit_idx", pa.int32()), ("kind", pa.string()),
             ("lsn_lo", pa.int64()), ("lsn_hi", pa.int64()),
+            ("executor", pa.string()),
             ("n_bands", pa.int32()), ("n_events", pa.int64()),
             ("n_partitions_touched", pa.int32()),
             ("rows_after", pa.int64()), ("wall_s", pa.float64()),
@@ -756,6 +736,36 @@ class CdcEngine:
         return pa.Table.from_pylist(rows, schema=schema)
 
 
+def _apply_on_pool(pool, files: list[str], normalize: NormalizeChanges,
+                   lake_dir: str, base_files: dict[int, str],
+                   band_hi: int) -> list[dict]:
+    """The pool driver: one read → normalize → route task per change-log
+    file feeds the merge actors, then every actor flushes."""
+    import ray
+    import ray.data as rd
+
+    from rayflow.cdc.streaming import make_read_normalize_route
+
+    paths = rd.from_items([{"path": f} for f in files],
+                          override_num_blocks=len(files))
+    routed = paths.map_batches(
+        make_read_normalize_route(normalize, pool.actors, pool.num_actors),
+        batch_size=1,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        # cap routing tasks only above the SMT cliff; an explicit cap
+        # below it just constrains the scheduler (RAYFLOW_ROUTE_TASKS
+        # overrides for sweeps)
+        **(
+            {"concurrency": int(os.environ.get("RAYFLOW_ROUTE_TASKS", "14"))}
+            if int(ray.cluster_resources().get("CPU", 8)) > 20
+            else {}
+        ),
+    )
+    routed.take_all()  # drive the stream through the pool
+    return pool.flush(lake_dir, base_files, band_hi)
+
+
 def _point_lookup_parts(engine: "CdcEngine", conv_id: str) -> list[int]:
     """Partitions that may hold a conversation (1 normally, s when salted)."""
     import numpy as np
@@ -778,7 +788,6 @@ def read_conversation(engine: "CdcEngine", conv_id: str) -> pa.Table:
     salted conversation reads its s partitions).  Returns turns sorted
     by turn_idx."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     files = engine.manifest.partition_files()
     tables = []

@@ -6,21 +6,27 @@ LSN-based last-writer-wins)* — the Ray-native rebuild of the reference's
 manager-held cache resources + dedupe seen-state (``⟨upstream:
 internal/manager/⟩``, ``processor_dedupe.go``).
 
-Topology for one commit group::
+:class:`_MergeActorImpl` is the one merge stage, and it runs under
+either of the two drivers of :meth:`rayflow.cdc.CdcEngine.replay`:
 
-    read_parquet(files)  →  map_batches(NormalizeChanges)   [stateless tasks]
-        →  map_batches(RouteToPool)                          [stateless tasks]
-              each task splits its batch by owning actor
-              (owner = part_id % A) and ray.get's
-              MergeActor.apply(sub) — the get IS the
-              backpressure: a task can't out-run its actors
+- **local** (commit groups of at most ``LOCAL_MAX_EVENTS`` raw events):
+  one instance in the driver process is fed every normalized file and
+  flushed — no actor, no Dataset, no routing task.
+- **pool** (larger groups), one :class:`MergePool` per ``replay`` call::
+
+    Dataset of file paths → map_batches(read → NormalizeChanges → RouteToPool)
+          each task splits its batch by owning actor   [stateless tasks]
+          (owner = part_id % A) and ray.get's
+          MergeActor.apply(block, indices) — the get IS
+          the backpressure: a task can't out-run its actors
     driver: ray.get(actor.flush(band_hi)) for all actors     [parallel]
-    driver: manifest.commit_band(...)                        [atomic]
 
-Each :class:`MergeActor` owns partitions ``p ≡ idx (mod A)`` and buffers
-their deltas as Arrow sub-tables (compacted with the vectorized LWW
-reduce when a partition's buffer exceeds ``compact_rows`` — so actor
-memory holds at most O(live keys + compact_rows) rows per partition, the
+Both end in the driver's ``manifest.commit_band(...)`` [atomic].
+
+Each merge actor owns partitions ``p ≡ idx (mod A)`` and buffers their
+deltas as Arrow sub-tables (compacted with the vectorized LWW reduce
+when a partition's buffer exceeds ``compact_rows`` — so actor memory
+holds at most O(live keys + compact_rows) rows per partition, the
 "hash-indexed latest-version map" in columnar form).  ``flush`` merges
 each owned partition with its durable base state and writes the new
 state file idempotently; the actors' RAM is never the source of truth,
@@ -28,11 +34,6 @@ so a crashed group is simply re-run (exactly-once comes from the
 manifest commit, SURVEY.md §7.4).  Exact replays of an event (a retried
 routing task re-applying a batch) are removed by unique-LSN dedupe in
 the merge.
-
-Versus the shuffle path (``groupby(_part_id).map_groups``): no sort
-machinery, stable wall-times, and state survives across micro-batches
-within a replay session.  The shuffle path remains as a cross-checked
-alternative (``CdcEngine.replay(mode="shuffle")``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ import pyarrow as pa
 from rayflow.cdc.merge import hydrate_base, lww_reduce, merge_partition_delta
 from rayflow.cdc.partitioner import PART_COL
 from rayflow.schema import conform, unify
+
+
+#: MergePool actor-placement strategies (see :class:`MergePool`)
+PLACEMENTS = ("spread", "group_spread", "group_pack", "default")
+
+
+def check_placement(placement: str) -> None:
+    if placement not in PLACEMENTS:
+        raise ValueError(f"unknown placement {placement!r}")
 
 
 class _MergeActorImpl:
@@ -62,17 +72,18 @@ class _MergeActorImpl:
         self._fail_after = fail_after_applies
         self._n_applies = 0
 
-    def apply(self, block: pa.Table, indices: np.ndarray) -> int:
+    def apply(self, block: pa.Table, indices: np.ndarray | None = None) -> int:
         """Absorb this actor's rows of a routed block.
 
         ``block`` arrives as a zero-copy plasma read (the router put it
         ONCE and every actor's task references the same object — shipping
         per-actor sub-tables through the RPC cost 3x the whole stage,
-        measured); ``indices`` selects the rows this actor owns."""
+        measured); ``indices`` selects the rows this actor owns (``None``:
+        all of them, the local driver's single merger)."""
         self._n_applies += 1
         if self._fail_after is not None and self._n_applies > self._fail_after:
             raise RuntimeError("injected merge-actor failure (test)")
-        sub = block.take(pa.array(indices))
+        sub = block if indices is None else block.take(pa.array(indices))
         if sub.num_rows == 0:
             return 0
         parts = sub.column(PART_COL).to_numpy()
@@ -140,10 +151,6 @@ class MergePool:
       spread when merge state is large.  The pool owns the group and
       removes it on shutdown.
     - ``"default"``: Ray's default locality-aware scheduling.
-
-    On clusters where cross-rack actor RPC is the bottleneck regardless
-    of placement, prefer ``CdcEngine.replay(mode="shuffle")`` — the
-    Dataset-native exchange path with identical results.
     """
 
     def __init__(self, num_actors: int, compact_rows: int = 500_000,
@@ -151,6 +158,7 @@ class MergePool:
                  placement: str = "spread"):
         import ray
 
+        check_placement(placement)
         self.num_actors = num_actors
         self._pg = None
         actor_cls = ray.remote(num_cpus=1)(_MergeActorImpl)
@@ -174,9 +182,7 @@ class MergePool:
                         PlacementGroupSchedulingStrategy(
                             placement_group=self._pg,
                             placement_group_bundle_index=i)}
-            if placement == "default":
-                return {}
-            raise ValueError(f"unknown placement {placement!r}")
+            return {}
 
         self.actors = [
             actor_cls.options(**opts(i)).remote(
@@ -231,17 +237,6 @@ class RouteToPool:
         routed = sum(ray.get(refs))
         del block_ref
         return pa.table({"routed": pa.array([routed], type=pa.int64())})
-
-
-class NormalizeAndRoute:
-    """Fused normalize + route stage (one task launch per block)."""
-
-    def __init__(self, normalize, actors, num_actors: int):
-        self.normalize = normalize
-        self.route = RouteToPool(actors, num_actors)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.route(self.normalize(batch))
 
 
 def make_read_normalize_route(normalize, actors, num_actors: int):
