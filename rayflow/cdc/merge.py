@@ -21,9 +21,8 @@ Execution shape:
    in the lake Parquet file — the durable form of the per-partition
    latest-version map), LWW-reduce ``base ∪ delta`` with Arrow-schema
    unification (column add / int widen), and write the new partition
-   state file idempotently.  The merge actor runs in the driver
-   process for small commit groups and as a Ray actor pool for large
-   ones (:mod:`rayflow.cdc.replay`); the stages are the same objects.
+   state file idempotently.  Replay runs one merge actor object in the
+   driver process (:mod:`rayflow.cdc.replay`).
 
 Partition state files are pure functions of ``(part_id, band_hi)`` so a
 retried task overwrites the same path with identical content; commit is

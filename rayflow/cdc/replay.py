@@ -3,32 +3,22 @@
 The Ray-Data-native rebuild of the reference's stream lifecycle
 (``⟨upstream: internal/stream/type.go⟩`` input → pipeline → output with
 ack-gated offset commit): each *commit group* (``bands_per_commit``
-contiguous LSN bands) is one micro-batch, run by one of two drivers
-chosen per group from its raw event count (Parquet footers, no data
-read):
-
-- **local** — at most :data:`LOCAL_MAX_EVENTS` events, in the driver
-  process::
+contiguous LSN bands) is one micro-batch, applied in the driver
+process::
 
     for each file: pq.read_table → NormalizeChanges → merger.apply
-    merger.flush(...)                         # one in-process merge actor
+    merger.flush(...)                    # one in-process merge actor object
+    manifest.commit_band(...)            # the atomic exactly-once commit
 
-- **pool** — larger groups, on the cluster::
-
-    Dataset of file paths
-      → map_batches(read → NormalizeChanges → RouteToPool)   # tasks
-      → MergePool actors: apply, then flush                  # stateful
-
-  The pool is started lazily, by the first such group of a ``replay``
-  call, and lives until the call returns.
-
-Both drivers call the same stage objects — :class:`NormalizeChanges`
-(cast to the group's unified schema, validate the envelope, per-block
-LWW, salted part id), the merge actor class
-(:class:`rayflow.cdc.streaming._MergeActorImpl`, whose ``flush`` calls
-:func:`rayflow.cdc.merge.merge_partition_delta`) — and end in the
-driver's ``manifest.commit_band(...)``, the atomic exactly-once commit.
-Each lineage record names the driver that ran it (``executor``).
+:class:`NormalizeChanges` casts to the group's unified schema, validates
+the envelope, LWW-reduces each file's block and assigns the salted part
+id; the merge stage (:class:`rayflow.cdc.streaming._MergeActorImpl`,
+whose ``flush`` calls :func:`rayflow.cdc.merge.merge_partition_delta`)
+buffers per-partition deltas and rewrites each touched partition.  No
+merge-actor pool, Dataset or routing task is started, so a small
+``tail`` commit costs what it changed: on a 4-vCPU box, applying a group
+in process was faster than through a merge-actor pool at every group
+size measured, 3 k to 300 k events (CHANGES.md).
 
 Partition count and the salt plan are fixed at lake creation and
 persisted in the manifest — key→partition placement must be stable for
@@ -49,23 +39,8 @@ from rayflow.cdc.merge import NormalizeChanges, lake_schema_for
 from rayflow.cdc.partitioner import PART_COL, plan_salts
 from rayflow.cdc.sink import LakeManifest
 from rayflow.cdc.source import band_schema, list_bands
-from rayflow.cdc.streaming import _MergeActorImpl, check_placement
+from rayflow.cdc.streaming import _MergeActorImpl
 from rayflow.schema import META_LSN, unify
-
-#: Commit groups of at most this many raw change events are applied in
-#: the driver process: no merge-actor pool, no Dataset, no routing task.
-#: Larger groups go to the merge-actor pool, which a multi-node cluster
-#: spreads out.  Sized from one-group replays (8 files) onto a
-#: 64-partition base lake, Ray at 4 logical CPUs on 4 shared vCPUs;
-#: median of 3 replay-call wall times, local / pool:
-#:   3 k events 0.47 / 1.92 s    30 k 0.75 / 2.41 s
-#:   100 k      0.96 / 2.27 s    300 k 1.24 / 2.13 s
-#: There the local driver costs ~2.6 µs per event over a fixed ~0.45 s
-#: and the pool ~0.7 µs per event over a fixed ~1.9 s (actor and Dataset
-#: start), so they cross near 750 k.  The limit stays well below a
-#: 615 k-event backfill group, so such groups keep the pool's
-#: parallelism on multi-node clusters.
-LOCAL_MAX_EVENTS = 300_000
 
 
 @dataclass
@@ -86,9 +61,8 @@ class CdcEngine:
     ``num_partitions`` bounds per-partition merge state (size it so one
     partition's latest-version rows fit a worker's heap at target scale:
     P ≈ total_keys × row_bytes / partition_budget).  ``merge_concurrency``
-    sizes the merge actor pool that commit groups above
-    :data:`LOCAL_MAX_EVENTS` use; leave headroom for the read/normalize
-    stages so the streaming executor can pipeline (SURVEY.md §4).
+    caps :meth:`repartition`'s partition writers; leave headroom for the
+    read/route stage so the streaming executor can pipeline (SURVEY.md §4).
     """
 
     def __init__(
@@ -99,18 +73,10 @@ class CdcEngine:
         auto_salt: bool = True,
         salt_sample_fraction: float = 0.05,
         seed: int = 42,
-        merge_placement: str = "spread",
     ):
-        # checked here, not when the pool starts: small groups never
-        # start one, and a bad value must not pass silently
-        check_placement(merge_placement)
         self.lake_dir = lake_dir
         self.num_partitions = num_partitions
         self.merge_concurrency = merge_concurrency
-        #: MergePool actor-placement strategy (see
-        #: :class:`rayflow.cdc.streaming.MergePool`) — "spread" |
-        #: "group_spread" | "group_pack" | "default"
-        self.merge_placement = merge_placement
         self.auto_salt = auto_salt
         self.salt_sample_fraction = salt_sample_fraction
         self.seed = seed
@@ -138,15 +104,10 @@ class CdcEngine:
         ``bands_per_commit`` is the checkpoint-granularity knob (the
         batching-policy analogue): N bands are applied as ONE group and
         committed atomically together.  Larger groups amortize
-        per-commit overheads (lake rewrite amplification, and for pooled
-        groups Dataset start-up) at the cost of coarser resume
-        granularity — a crash redoes the whole in-flight group.
-
-        Each group runs on one of two drivers (module docstring): in
-        this process when it holds at most :data:`LOCAL_MAX_EVENTS` raw
-        events, else on the merge-actor pool, started by the first such
-        group and shut down when this call returns.  Both run the same
-        stages and produce identical lake state (tested).
+        per-commit overheads (lake rewrite amplification) at the cost of
+        coarser resume granularity — a crash redoes the whole in-flight
+        group.  Each group is read, normalized, merged and committed in
+        this process (module docstring).
         """
         stats = ReplayStats()
         t0 = time.perf_counter()
@@ -185,120 +146,85 @@ class CdcEngine:
             bands[i : i + bands_per_commit]
             for i in range(0, len(bands), max(1, bands_per_commit))
         ]
-        pool = None
-        try:
-            for group in groups:
-                tb0 = time.perf_counter()
-                files = [f for b in group for f in b.files]
-                group_hi = max(b.lsn_hi for b in group)
-                step_schema = unify(*[band_schema(b) for b in group])
-                prior = self.manifest.schema
-                if prior is not None:
-                    step_schema = unify(prior, step_schema)
+        for group in groups:
+            tb0 = time.perf_counter()
+            files = [f for b in group for f in b.files]
+            group_hi = max(b.lsn_hi for b in group)
+            step_schema = unify(*[band_schema(b) for b in group])
+            prior = self.manifest.schema
+            if prior is not None:
+                step_schema = unify(prior, step_schema)
 
-                # event count from parquet footers (no data read)
-                n_raw = sum(pq.read_metadata(f).num_rows for f in files)
-                normalize = NormalizeChanges(
-                    step_schema, self.num_partitions, salts
-                )
-                fail_after = getattr(self, "_test_fail_after_applies", None)
-                if n_raw <= LOCAL_MAX_EVENTS:
-                    executor = "local"
-                    merger = _MergeActorImpl(0, 1, fail_after_applies=fail_after)
-                    for path in files:
-                        merger.apply(normalize(pq.read_table(path)))
-                    part_stats = merger.flush(
-                        self.lake_dir, self.manifest.partition_files(), group_hi
-                    )
-                else:
-                    executor = "pool"
-                    if pool is None:
-                        pool = self._start_pool(fail_after)
-                    part_stats = _apply_on_pool(
-                        pool, files, normalize, self.lake_dir,
-                        self.manifest.partition_files(), group_hi,
-                    )
-                wall = time.perf_counter() - tb0
+            # event count from parquet footers (no data read)
+            n_raw = sum(pq.read_metadata(f).num_rows for f in files)
+            normalize = NormalizeChanges(step_schema, self.num_partitions, salts)
+            merger = _MergeActorImpl(
+                0, 1,
+                fail_after_applies=getattr(self, "_test_fail_after_applies", None))
+            for path in files:
+                merger.apply(normalize(pq.read_table(path)))
+            part_stats = merger.flush(
+                self.lake_dir, self.manifest.partition_files(), group_hi
+            )
+            wall = time.perf_counter() - tb0
 
-                lineage = {
-                    "band_ids": [b.band_id for b in group],
-                    "lsn_lo": min(b.lsn_lo for b in group),
-                    "lsn_hi": group_hi,
-                    "executor": executor,
-                    "input_files": [
-                        f.split("/")[-2] + "/" + f.split("/")[-1] for f in files
-                    ],
-                    "n_events": n_raw,
-                    "n_partitions_touched": len(part_stats),
-                    "rows_after": int(sum(r["rows"] for r in part_stats)),
-                    # per-partition lineage: what this band did to each
-                    # partition (events applied, rows after, state file)
-                    "partitions": [
-                        {
-                            "part_id": int(r["part_id"]),
-                            "n_events": int(r["n_events"]),
-                            "rows": int(r["rows"]),
-                            "file": os.path.basename(r["file"]),
-                        }
-                        for r in sorted(part_stats, key=lambda x: x["part_id"])
-                    ],
-                    "wall_s": round(wall, 4),
-                    "events_per_s": round(n_raw / wall, 1) if wall > 0 else None,
-                }
-                # per-component metrics (the reference's operational
-                # bread-and-butter): push this band's engine counters
-                # into the shared metrics resource and snapshot it into
-                # the lineage record, so `metric` steps in user
-                # pipelines land in the same per-band audit trail
-                try:
-                    import ray as _ray
+            lineage = {
+                "band_ids": [b.band_id for b in group],
+                "lsn_lo": min(b.lsn_lo for b in group),
+                "lsn_hi": group_hi,
+                "input_files": [
+                    f.split("/")[-2] + "/" + f.split("/")[-1] for f in files
+                ],
+                "n_events": n_raw,
+                "n_partitions_touched": len(part_stats),
+                "rows_after": int(sum(r["rows"] for r in part_stats)),
+                # per-partition lineage: what this band did to each
+                # partition (events applied, rows after, state file)
+                "partitions": [
+                    {
+                        "part_id": int(r["part_id"]),
+                        "n_events": int(r["n_events"]),
+                        "rows": int(r["rows"]),
+                        "file": os.path.basename(r["file"]),
+                    }
+                    for r in sorted(part_stats, key=lambda x: x["part_id"])
+                ],
+                "wall_s": round(wall, 4),
+                "events_per_s": round(n_raw / wall, 1) if wall > 0 else None,
+            }
+            # per-component metrics (the reference's operational
+            # bread-and-butter): push this band's engine counters
+            # into the shared metrics resource and snapshot it into
+            # the lineage record, so `metric` steps in user
+            # pipelines land in the same per-band audit trail
+            try:
+                import ray as _ray
 
-                    from rayflow.state import get_metrics
+                from rayflow.state import get_metrics
 
-                    handle = get_metrics("default")
-                    _ray.get(handle.incr.remote({
-                        "replay.events": float(n_raw),
-                        "replay.bands": float(len(group)),
-                        "replay.wall_s": wall,
-                    }))
-                    lineage["metrics"] = _ray.get(handle.snapshot.remote())
-                except Exception:  # metrics are advisory, never fatal
-                    lineage["metrics"] = None
-                self.manifest.commit_band(
-                    band_hi=group_hi,
-                    schema=step_schema,
-                    part_stats=part_stats,
-                    salts=salts,
-                    lineage=lineage,
-                    num_partitions=self.num_partitions,
-                )
-                stats.bands_applied += len(group)
-                stats.n_events += n_raw
-                stats.lineage.append(lineage)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                handle = get_metrics("default")
+                _ray.get(handle.incr.remote({
+                    "replay.events": float(n_raw),
+                    "replay.bands": float(len(group)),
+                    "replay.wall_s": wall,
+                }))
+                lineage["metrics"] = _ray.get(handle.snapshot.remote())
+            except Exception:  # metrics are advisory, never fatal
+                lineage["metrics"] = None
+            self.manifest.commit_band(
+                band_hi=group_hi,
+                schema=step_schema,
+                part_stats=part_stats,
+                salts=salts,
+                lineage=lineage,
+                num_partitions=self.num_partitions,
+            )
+            stats.bands_applied += len(group)
+            stats.n_events += n_raw
+            stats.lineage.append(lineage)
 
         stats.wall_s = time.perf_counter() - t0
         return stats
-
-    def _start_pool(self, fail_after: int | None):
-        import ray
-
-        from rayflow.cdc.streaming import MergePool
-
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        # cap the pool: merge calls are short, and oversubscribing
-        # physical cores (actors + routing tasks) degrades sharply on
-        # SMT boxes (measured: 32 vCPUs/16 cores, see BASELINE.md)
-        n_actors = self.merge_concurrency or max(
-            1, min(self.num_partitions, n_cpus // 2, 12)
-        )
-        return MergePool(
-            num_actors=n_actors,
-            fail_after_applies=fail_after,
-            placement=self.merge_placement,
-        )
 
     # -- maintenance -------------------------------------------------------
 
@@ -506,6 +432,11 @@ class CdcEngine:
 
         merge_conc = self.merge_concurrency or max(
             1, min(new_p, int(ray.cluster_resources().get("CPU", 8)) - 2, 16))
+        # the one keyed exchange of the CDC code: the default pull-based
+        # sort shuffle was measured 3-4x slower on wide inputs at sf0.1
+        from rayflow.ops import prefer_push_shuffle
+
+        prefer_push_shuffle()
         routed = rd.read_parquet(files).map_batches(
             _route, batch_format="pyarrow", zero_copy_batch=True)
         part_stats = routed.groupby(PART_COL).map_groups(
@@ -672,9 +603,7 @@ class CdcEngine:
         """The lake's commit audit trail as a queryable Arrow table —
         one row per manifest commit (replay band group or compaction),
         straight from the durable manifest so it survives restarts and
-        is identical for every reader.  ``executor`` names the replay
-        driver of the commit ("local" | "pool"; null for maintenance
-        commits)."""
+        is identical for every reader."""
         rows = []
         for i, ln in enumerate(self.manifest.state.get("lineage", [])):
             rows.append({
@@ -682,7 +611,6 @@ class CdcEngine:
                 "kind": "compaction" if ln.get("compaction") else "replay",
                 "lsn_lo": ln.get("lsn_lo"),
                 "lsn_hi": ln.get("lsn_hi"),
-                "executor": ln.get("executor"),
                 "n_bands": len(ln.get("band_ids", []) or []),
                 "n_events": ln.get("n_events"),
                 "n_partitions_touched": (
@@ -695,7 +623,6 @@ class CdcEngine:
         schema = pa.schema([
             ("commit_idx", pa.int32()), ("kind", pa.string()),
             ("lsn_lo", pa.int64()), ("lsn_hi", pa.int64()),
-            ("executor", pa.string()),
             ("n_bands", pa.int32()), ("n_events", pa.int64()),
             ("n_partitions_touched", pa.int32()),
             ("rows_after", pa.int64()), ("wall_s", pa.float64()),
@@ -734,36 +661,6 @@ class CdcEngine:
             ("state_file", pa.string()), ("bytes", pa.int64()),
         ])
         return pa.Table.from_pylist(rows, schema=schema)
-
-
-def _apply_on_pool(pool, files: list[str], normalize: NormalizeChanges,
-                   lake_dir: str, base_files: dict[int, str],
-                   band_hi: int) -> list[dict]:
-    """The pool driver: one read → normalize → route task per change-log
-    file feeds the merge actors, then every actor flushes."""
-    import ray
-    import ray.data as rd
-
-    from rayflow.cdc.streaming import make_read_normalize_route
-
-    paths = rd.from_items([{"path": f} for f in files],
-                          override_num_blocks=len(files))
-    routed = paths.map_batches(
-        make_read_normalize_route(normalize, pool.actors, pool.num_actors),
-        batch_size=1,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        # cap routing tasks only above the SMT cliff; an explicit cap
-        # below it just constrains the scheduler (RAYFLOW_ROUTE_TASKS
-        # overrides for sweeps)
-        **(
-            {"concurrency": int(os.environ.get("RAYFLOW_ROUTE_TASKS", "14"))}
-            if int(ray.cluster_resources().get("CPU", 8)) > 20
-            else {}
-        ),
-    )
-    routed.take_all()  # drive the stream through the pool
-    return pool.flush(lake_dir, base_files, band_hi)
 
 
 def _point_lookup_parts(engine: "CdcEngine", conv_id: str) -> list[int]:

@@ -6,22 +6,22 @@ LSN-based last-writer-wins)* — the Ray-native rebuild of the reference's
 manager-held cache resources + dedupe seen-state (``⟨upstream:
 internal/manager/⟩``, ``processor_dedupe.go``).
 
-:class:`_MergeActorImpl` is the one merge stage, and it runs under
-either of the two drivers of :meth:`rayflow.cdc.CdcEngine.replay`:
+:class:`_MergeActorImpl` is the one merge stage.
+:meth:`rayflow.cdc.CdcEngine.replay` runs a single instance of it in the
+driver process: every normalized file of a commit group is applied to
+it, then it is flushed, and the driver commits the manifest.
 
-- **local** (commit groups of at most ``LOCAL_MAX_EVENTS`` raw events):
-  one instance in the driver process is fed every normalized file and
-  flushed — no actor, no Dataset, no routing task.
-- **pool** (larger groups), one :class:`MergePool` per ``replay`` call::
+:class:`MergePool` and :class:`RouteToPool` wrap the same class as Ray
+actors fed by stateless routing calls::
 
-    Dataset of file paths → map_batches(read → NormalizeChanges → RouteToPool)
-          each task splits its batch by owning actor   [stateless tasks]
-          (owner = part_id % A) and ray.get's
-          MergeActor.apply(block, indices) — the get IS
-          the backpressure: a task can't out-run its actors
-    driver: ray.get(actor.flush(band_hi)) for all actors     [parallel]
+    RouteToPool(batch): split by owning actor (owner = part_id % A),
+          put the block ONCE, ray.get MergeActor.apply(block, indices)
+          — the get IS the backpressure: a caller can't out-run its actors
+    MergePool.flush: ray.get(actor.flush(band_hi)) for all actors
 
-Both end in the driver's ``manifest.commit_band(...)`` [atomic].
+Replay does not use them (in process was faster at every group size
+measured); ``perfbench``'s layer model does, to time the routing and
+actor start-up of a distributed merge.
 
 Each merge actor owns partitions ``p ≡ idx (mod A)`` and buffers their
 deltas as Arrow sub-tables (compacted with the vectorized LWW reduce
@@ -44,15 +44,6 @@ import pyarrow as pa
 from rayflow.cdc.merge import hydrate_base, lww_reduce, merge_partition_delta
 from rayflow.cdc.partitioner import PART_COL
 from rayflow.schema import conform, unify
-
-
-#: MergePool actor-placement strategies (see :class:`MergePool`)
-PLACEMENTS = ("spread", "group_spread", "group_pack", "default")
-
-
-def check_placement(placement: str) -> None:
-    if placement not in PLACEMENTS:
-        raise ValueError(f"unknown placement {placement!r}")
 
 
 class _MergeActorImpl:
@@ -79,7 +70,7 @@ class _MergeActorImpl:
         ONCE and every actor's task references the same object — shipping
         per-actor sub-tables through the RPC cost 3x the whole stage,
         measured); ``indices`` selects the rows this actor owns (``None``:
-        all of them, the local driver's single merger)."""
+        all of them, as in replay's single in-process merger)."""
         self._n_applies += 1
         if self._fail_after is not None and self._n_applies > self._fail_after:
             raise RuntimeError("injected merge-actor failure (test)")
@@ -135,7 +126,7 @@ class _MergeActorImpl:
 
 
 class MergePool:
-    """Driver-side handle on the actor pool (one per replay session).
+    """Driver-side handle on a merge-actor pool.
 
     ``placement`` is the multi-node locality knob (a no-op on one node,
     exercised there only for API validity):
@@ -154,11 +145,11 @@ class MergePool:
     """
 
     def __init__(self, num_actors: int, compact_rows: int = 500_000,
-                 fail_after_applies: int | None = None,
                  placement: str = "spread"):
         import ray
 
-        check_placement(placement)
+        if placement not in ("spread", "group_spread", "group_pack", "default"):
+            raise ValueError(f"unknown placement {placement!r}")
         self.num_actors = num_actors
         self._pg = None
         actor_cls = ray.remote(num_cpus=1)(_MergeActorImpl)
@@ -185,8 +176,7 @@ class MergePool:
             return {}
 
         self.actors = [
-            actor_cls.options(**opts(i)).remote(
-                i, num_actors, compact_rows, fail_after_applies)
+            actor_cls.options(**opts(i)).remote(i, num_actors, compact_rows)
             for i in range(num_actors)
         ]
 
@@ -237,37 +227,3 @@ class RouteToPool:
         routed = sum(ray.get(refs))
         del block_ref
         return pa.table({"routed": pa.array([routed], type=pa.int64())})
-
-
-def make_read_normalize_route(normalize, actors, num_actors: int):
-    """Fused read → normalize → route as a plain FUNCTION, driven by a
-    Dataset of file paths.
-
-    One task per change-log file keeps the block composition aligned with
-    the on-disk files — updates to one conversation cluster within a
-    source partition's file, so the per-block LWW collapse removes far
-    more duplicates than arbitrary re-split blocks would (measured: 3.2M
-    vs 8.5M surviving rows on the sf0.1 bench log), and the Dataset
-    machinery never re-serializes the decoded table between read and
-    normalize.  Backpressure still applies: this is an ordinary
-    ``map_batches`` stage consuming a tiny paths Dataset.
-
-    A function, NOT a callable class: a class would make Ray Data spin
-    up a fresh map-actor pool for every commit group's execution, and
-    that startup alone cost ~1s of a ~3s sf0.1 replay group (measured:
-    read+normalize 2.86s as an actor stage vs 1.84s as tasks).  The
-    closure state (schema + salt map + actor handles) is tiny and ships
-    per task."""
-    route = RouteToPool(actors, num_actors)
-
-    def read_normalize_route(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        routed = 0
-        for path in batch.column("path").to_pylist():
-            tbl = pq.read_table(path, use_threads=False)
-            out = route(normalize(tbl))
-            routed += int(out.column("routed")[0].as_py())
-        return pa.table({"routed": pa.array([routed], type=pa.int64())})
-
-    return read_normalize_route

@@ -525,7 +525,7 @@ def cdc_upsert_events(sf_dir: str):
     """The flagship pipeline run against driver data: the ``events``
     table dressed as a CDC change stream (event_id ≙ lsn, (user_id,
     event_type) ≙ key, value<10 ≙ delete) and replayed through the REAL
-    engine — NormalizeChanges → salted partitioning → merge actors
+    engine — NormalizeChanges → salted partitioning → LWW merge
     → exactly-once lake → read back (FIXTURES.md §3)."""
     import tempfile
 

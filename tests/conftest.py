@@ -24,16 +24,6 @@ def ray_session():
     ray.shutdown()
 
 
-@pytest.fixture
-def pool_path(monkeypatch):
-    """Force every CDC commit group onto the merge-actor pool driver.
-    Every test change log is far below ``LOCAL_MAX_EVENTS``, so without
-    this only the in-process driver would run."""
-    from rayflow.cdc import replay
-
-    monkeypatch.setattr(replay, "LOCAL_MAX_EVENTS", 0)
-
-
 @pytest.fixture(scope="session")
 def sf_dir() -> str:
     return "/root/testdata/sf0.001"

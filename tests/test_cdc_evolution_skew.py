@@ -58,11 +58,6 @@ def test_schema_evolution_mid_log(tmp_path):
     assert len(post) > 0 and len(pre) > 0
 
 
-@pytest.mark.usefixtures("pool_path")
-def test_schema_evolution_mid_log_pool(tmp_path):
-    test_schema_evolution_mid_log(tmp_path)
-
-
 def test_evolution_before_resume(tmp_path):
     """Evolution lands *after* a checkpoint: bands 1-2 committed pre-switch
     (v1 lake files), resume applies v2 bands — read-back unifies."""

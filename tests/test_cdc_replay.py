@@ -78,11 +78,6 @@ def test_full_replay_matches_oracle(changelog, tmp_path):
     _assert_equal(_engine_result(engine), _oracle_result(log_dir))
 
 
-@pytest.mark.usefixtures("pool_path")
-def test_full_replay_matches_oracle_pool(changelog, tmp_path):
-    test_full_replay_matches_oracle(changelog, tmp_path)
-
-
 def test_resume_mid_replay(changelog, tmp_path):
     """Kill/resume: apply k bands, build a NEW engine over the same lake
     (fresh process analogue), continue — final state identical."""
@@ -98,11 +93,6 @@ def test_resume_mid_replay(changelog, tmp_path):
     s2 = e2.replay(log_dir)
     assert s2.bands_applied == SPEC.n_bands - 2
     _assert_equal(_engine_result(e2), _oracle_result(log_dir))
-
-
-@pytest.mark.usefixtures("pool_path")
-def test_resume_mid_replay_pool(changelog, tmp_path):
-    test_resume_mid_replay(changelog, tmp_path)
 
 
 def test_double_apply_idempotent(changelog, tmp_path):
@@ -129,51 +119,6 @@ def test_lineage_and_metrics(changelog, tmp_path):
         assert rec["events_per_s"] > 0
         assert rec["input_files"]
     assert e.manifest.committed_lsn == info["max_lsn"]
-
-
-def test_local_and_pool_drivers_agree(changelog, tmp_path, monkeypatch):
-    """The in-process driver and the merge-actor pool driver produce
-    identical lake state — the same files, row counts and rows — and
-    each lineage record names the driver that ran it."""
-    from rayflow.cdc import replay
-
-    log_dir, _ = changelog
-    e1 = CdcEngine(str(tmp_path / "lake_a"), num_partitions=8)
-    s1 = e1.replay(log_dir, bands_per_commit=2)
-    monkeypatch.setattr(replay, "LOCAL_MAX_EVENTS", 0)
-    e2 = CdcEngine(str(tmp_path / "lake_b"), num_partitions=8)
-    s2 = e2.replay(log_dir, bands_per_commit=2)
-    assert [r["executor"] for r in s1.lineage] == ["local", "local"]
-    assert [r["executor"] for r in s2.lineage] == ["pool", "pool"]
-    assert e1.manifest.state["partitions"] == e2.manifest.state["partitions"]
-    pd.testing.assert_frame_equal(_engine_result(e1), _engine_result(e2))
-
-
-def test_pool_starts_only_for_large_groups(changelog, tmp_path, monkeypatch):
-    """The pool is started lazily: a replay whose groups are all at or
-    below LOCAL_MAX_EVENTS never builds one; a replay with a larger
-    group builds exactly one and shuts it down when the call returns."""
-    from rayflow.cdc import replay, streaming
-
-    started = []
-    real_init = streaming.MergePool.__init__
-
-    def counting_init(pool, *args, **kwargs):
-        started.append(pool)
-        real_init(pool, *args, **kwargs)
-
-    monkeypatch.setattr(streaming.MergePool, "__init__", counting_init)
-    log_dir, _ = changelog
-    e = CdcEngine(str(tmp_path / "lake"), num_partitions=4)
-    e.replay(log_dir, max_bands=2)
-    assert started == []
-    # the two remaining bands together hold more events than one band
-    n_band = e.manifest.state["lineage"][-1]["n_events"]
-    monkeypatch.setattr(replay, "LOCAL_MAX_EVENTS", n_band)
-    s = e.replay(log_dir, bands_per_commit=2)
-    assert [r["executor"] for r in s.lineage] == ["pool"]
-    assert len(started) == 1 and started[0].actors == []
-    _assert_equal(_engine_result(e), _oracle_result(log_dir))
 
 
 def test_compact_and_vacuum(changelog, tmp_path):
@@ -214,11 +159,6 @@ def test_injected_failure_no_partial_commit(changelog, tmp_path):
     e2 = CdcEngine(lake, num_partitions=8)  # no injection
     e2.replay(log_dir)
     _assert_equal(_engine_result(e2), _oracle_result(log_dir))
-
-
-@pytest.mark.usefixtures("pool_path")
-def test_injected_failure_no_partial_commit_pool(changelog, tmp_path):
-    test_injected_failure_no_partial_commit(changelog, tmp_path)
 
 
 def test_read_conversation_point_lookup(changelog, tmp_path):
@@ -277,11 +217,6 @@ def test_tail_applies_bands_as_they_arrive(ray_session, tmp_path):
     a = got[cols].sort_values(cols, ignore_index=True)
     b = want[cols].sort_values(cols, ignore_index=True)
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-
-@pytest.mark.usefixtures("pool_path")
-def test_tail_applies_bands_as_they_arrive_pool(ray_session, tmp_path):
-    test_tail_applies_bands_as_they_arrive(ray_session, tmp_path)
 
 
 def test_snapshot_time_travel(ray_session, tmp_path):
@@ -392,26 +327,45 @@ def test_changes_between_schema_evolved_log(ray_session, tmp_path):
 
 @pytest.mark.parametrize("placement", ["group_spread", "group_pack",
                                        "default"])
-@pytest.mark.usefixtures("pool_path")
 def test_merge_placement_modes_agree(changelog, tmp_path, placement):
-    """Every MergePool placement strategy yields the same lake state as
-    the default SPREAD (single-node here — validates the API path and
+    """The merge-actor pool, under every placement strategy and fed by
+    RouteToPool, writes the same partition state files as replay's
+    in-process merge (single-node here — validates the API path and
     that the placement group is reserved and released)."""
+    import pyarrow.parquet as pq
+
+    from rayflow.cdc.merge import NormalizeChanges
+    from rayflow.cdc.source import list_bands
+    from rayflow.cdc.streaming import MergePool, RouteToPool
+
     log_dir, _ = changelog
-    base = CdcEngine(str(tmp_path / "lake_spread"), num_partitions=4)
-    base.replay(log_dir)
-    e = CdcEngine(str(tmp_path / f"lake_{placement}"), num_partitions=4,
-                  merge_placement=placement)
-    e.replay(log_dir)
-    pd.testing.assert_frame_equal(_engine_result(base), _engine_result(e))
+    e = CdcEngine(str(tmp_path / "lake"), num_partitions=4)
+    e.replay(log_dir, bands_per_commit=SPEC.n_bands)   # one commit group
+    salts = {k: int(v) for k, v in e.manifest.state.get("salts", {}).items()}
+    normalize = NormalizeChanges(e.manifest.schema, 4, salts)
+    pool = MergePool(2, placement=placement)
+    try:
+        route = RouteToPool(pool.actors, pool.num_actors)
+        for b in list_bands(log_dir, after_lsn=-1):
+            for f in b.files:
+                route(normalize(pq.read_table(f)))
+        stats = pool.flush(str(tmp_path / "pool_lake"), {},
+                           e.manifest.committed_lsn)
+    finally:
+        pool.shutdown()
+    got = {int(r["part_id"]): r["file"] for r in stats}
+    want = e.manifest.partition_files()
+    assert sorted(got) == sorted(want)
+    for pid, path in want.items():
+        assert os.path.basename(got[pid]) == os.path.basename(path)
+        assert pq.read_table(got[pid]).equals(pq.read_table(path))
 
 
-def test_merge_placement_unknown_raises(tmp_path):
-    """A bad placement fails at construction, before any replay — small
-    commit groups never start the pool that would otherwise check it."""
+def test_merge_placement_unknown_raises():
+    from rayflow.cdc.streaming import MergePool
+
     with pytest.raises(ValueError, match="unknown placement"):
-        CdcEngine(str(tmp_path / "lake"), num_partitions=4,
-                  merge_placement="rack_local")
+        MergePool(2, placement="rack_local")
 
 
 def test_concurrent_commit_detected(tmp_path):
@@ -459,12 +413,9 @@ def test_same_writer_sequential_commits_unaffected(tmp_path):
     assert LakeManifest(lake).committed_lsn == 30
 
 
-def test_lineage_and_partition_stats_tables(changelog, tmp_path, capsys):
+def test_lineage_and_partition_stats_tables(changelog, tmp_path):
     """The rule's 'per-partition lineage + metrics' surfaced as data:
     queryable Arrow tables derived from the durable manifest."""
-    import json
-
-    from rayflow.__main__ import main
     from rayflow.cdc.replay import CdcEngine
 
     log_dir, _info = changelog
@@ -475,17 +426,11 @@ def test_lineage_and_partition_stats_tables(changelog, tmp_path, capsys):
     lt = e.lineage_table()
     assert lt.num_rows == len(stats.lineage)
     assert set(lt.column_names) >= {"kind", "lsn_hi", "n_events",
-                                    "rows_after", "events_per_s",
-                                    "executor"}
+                                    "rows_after", "events_per_s"}
     lsn_his = lt["lsn_hi"].to_pylist()
     assert lsn_his == sorted(lsn_his)           # monotone watermarks
     assert sum(lt["n_events"].to_pylist()) == stats.n_events
     assert all(k == "replay" for k in lt["kind"].to_pylist())
-    # these groups are far below LOCAL_MAX_EVENTS: the driver ran them
-    assert lt["executor"].to_pylist() == ["local"] * lt.num_rows
-    assert main(["stats", lake]) == 0
-    cli = json.loads(capsys.readouterr().out)["lineage"]
-    assert [r["executor"] for r in cli] == lt["executor"].to_pylist()
 
     ps = e.partition_stats()
     assert ps.num_rows > 0
@@ -501,7 +446,6 @@ def test_lineage_and_partition_stats_tables(changelog, tmp_path, capsys):
     e.compact()
     lt2 = CdcEngine(lake).lineage_table()
     assert lt2["kind"].to_pylist()[-1] == "compaction"
-    assert lt2["executor"].to_pylist()[-1] is None
     assert lt2.num_rows == lt.num_rows + 1
 
 
