@@ -5,8 +5,9 @@ internal/checkpoint/capped.go⟩`` tolerates out-of-order acks; ``⟨upstream:
 internal/impl/pure/processor_dedupe.go⟩`` keyed seen-state): correctness
 never depends on arrival order — only on LSN comparison.  For each merge
 key ``(conv_id, turn_idx)`` the row with the maximum ``lsn`` wins
-(``src_ts`` is the documented tiebreak; LSNs are unique by construction);
-a winning ``delete`` removes the key.
+(then ``src_ts``; a full tie keeps the later row).  Rows of one source
+transaction may share an LSN across keys, so winners are picked per key,
+never by LSN alone; a winning ``delete`` removes the key.
 
 Execution shape:
 
@@ -48,17 +49,33 @@ _BASE_OP = "base"
 
 def lww_reduce(tbl: pa.Table, key_cols: list[str] = KEY_COLUMNS,
                lsn_col: str = "lsn") -> pa.Table:
-    """Keep only the max-``lsn`` row per key.  Pure vectorized Arrow:
-    grouped max over unique LSNs, then a hash-set membership filter —
-    no Python loop over rows."""
+    """Keep exactly one row per key: the max ``(lsn, src_ts)``, a null
+    ``src_ts`` (hydrated base rows) ordering first; on a full tie the
+    later row wins.  Pure vectorized Arrow, winners in input order.
+
+    Fast path: grouped max over LSNs plus a membership filter.  It
+    keeps every key's max-``lsn`` row, so when it keeps exactly one row
+    per key those rows are the winners.  Otherwise an LSN is shared
+    across keys (one source transaction) or tied within a key: one
+    stable sort on ``(lsn, src_ts)``, then each key's last row from an
+    ordered group-by."""
     if tbl.num_rows == 0:
         return tbl
     winners = tbl.group_by(key_cols, use_threads=False).aggregate([(lsn_col, "max")])
     win_lsns = winners.column(f"{lsn_col}_max")
     if len(win_lsns) == tbl.num_rows:  # all keys already unique
         return tbl
-    mask = pc.is_in(tbl.column(lsn_col), value_set=win_lsns.combine_chunks())
-    return tbl.filter(mask)
+    out = tbl.filter(pc.is_in(tbl.column(lsn_col), value_set=win_lsns.combine_chunks()))
+    if out.num_rows == len(win_lsns):
+        return out
+    order_cols = [lsn_col] + (["src_ts"] if "src_ts" in tbl.column_names else [])
+    order = pc.sort_indices(tbl.select(order_cols),
+                            sort_keys=[(c, "ascending") for c in order_cols],
+                            null_placement="at_start")
+    ranked = tbl.select(key_cols).take(order).append_column("__row", order)
+    last = ranked.group_by(key_cols, use_threads=False).aggregate(
+        [("__row", "last")]).column("__row_last")
+    return tbl.take(np.sort(last.to_numpy()))
 
 
 class NormalizeChanges:
@@ -103,19 +120,17 @@ def lake_schema_for(change_schema: pa.Schema) -> pa.Schema:
 
 
 def drop_duplicate_lsns(tbl: pa.Table, lsn_col: str = "lsn") -> pa.Table:
-    """Remove exact event replays (same globally-unique lsn appearing
-    twice — possible when a retried routing task re-applies a batch to a
-    streaming merge actor).  Vectorized: sort by lsn, keep first of each
-    run."""
-    lsns = tbl.column(lsn_col)
-    if pc.count_distinct(lsns).as_py() == tbl.num_rows:
+    """Remove exact event replays: rows repeating a ``(key, lsn)`` pair
+    (a re-applied batch).  Rows of one source transaction share an LSN
+    across keys, so the LSN alone is not an event id.  Keeps the first
+    row of each pair, in input order."""
+    if pc.count_distinct(tbl.column(lsn_col)).as_py() == tbl.num_rows:
         return tbl
-    order = pc.sort_indices(tbl, sort_keys=[(lsn_col, "ascending")])
-    tbl = tbl.take(order)
-    arr = tbl.column(lsn_col).to_numpy()
-    keep = np.ones(len(arr), dtype=bool)
-    keep[1:] = arr[1:] != arr[:-1]
-    return tbl.filter(pa.array(keep))
+    cols = KEY_COLUMNS + [lsn_col]
+    first = tbl.select(cols).append_column(
+        "__row", pa.array(np.arange(tbl.num_rows))
+    ).group_by(cols, use_threads=False).aggregate([("__row", "min")])
+    return tbl.take(np.sort(first.column("__row_min").to_numpy()))
 
 
 def merge_partition_delta(

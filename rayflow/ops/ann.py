@@ -1119,7 +1119,7 @@ def build_ann_pq(*, queries, query_ids, k: int = 10, m_sub: int = 8,
         ids = t.column(id_col).to_numpy()
         codes = _pq_encode(x, cb)                      # (n, m_sub)
         n = len(x)
-        short = min(k * rerank + 1, n)
+        short = min(max(k * max(rerank, 1), k) + 1, n)
         rows_q, rows_v, rows_s = [], [], []
         for j in range(len(qi)):
             # ADC: sum over subspaces of lut[j, m, code[:, m]]

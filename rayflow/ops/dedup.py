@@ -207,8 +207,9 @@ def minhash_flat(flat: np.ndarray, counts: np.ndarray, a: np.ndarray,
 
 
 class MinHasher:
-    """Actor-pool stage: permutation coefficients drawn once per actor
-    from a fixed seed (identical across actors — determinism)."""
+    """Signature stage: permutation coefficients drawn once on the
+    driver from a fixed seed; the instance (2 × ``num_perm`` uint64)
+    rides each stateless ``map_batches`` task's closure."""
 
     def __init__(self, num_perm: int = 64, shingle_k: int = 3, seed: int = 42,
                  text_col: str = "text", id_col: str = "doc_id"):
@@ -285,7 +286,7 @@ def _empty_pairs() -> pa.Table:
 def build_minhash_lsh(*, threshold: float = 0.7, num_perm: int = 64,
                       num_bands: int = 16, shingle_k: int = 3, seed: int = 42,
                       text_col: str = "text", id_col: str = "doc_id",
-                      concurrency: int = 2, n_buckets: int = 256,
+                      n_buckets: int = 256,
                       join_partitions: int = 8,
                       driver_pair_limit: int = 2_000_000,
                       broadcast_bytes_limit: int = 64 << 20,
@@ -295,8 +296,9 @@ def build_minhash_lsh(*, threshold: float = 0.7, num_perm: int = 64,
 
     Fully distributed with exactly ONE keyed shuffle on the hot path:
 
-    1. signatures + band explosion — ``map_batches`` (no exchange);
-       each band row also carries ``bucket = band_key mod n_buckets``.
+    1. signatures + band explosion — ``map_batches`` as stateless
+       tasks (no actor pool, no exchange); each band row also carries
+       ``bucket = band_key mod n_buckets``.
     2. candidate pairs — ``groupby("bucket").map_groups``: ~n_buckets
        groups total (NOT one per band key, which would pay the ~50us
        per-group callback cost on millions of singleton bands); inside a
@@ -320,22 +322,16 @@ def build_minhash_lsh(*, threshold: float = 0.7, num_perm: int = 64,
     bit-identical."""
 
     def apply(ds):
-        import ray
-        import ray.data as rd
-
         from rayflow.ops import prefer_push_shuffle
-        from rayflow.ops.joins import _fetch
 
         prefer_push_shuffle()
 
-        # 1. signature + banding (distributed, no exchange)
+        # 1. signature + banding (stateless tasks, no exchange)
         sigs = ds.map_batches(
-            MinHasher,
-            fn_constructor_kwargs=dict(num_perm=num_perm, shingle_k=shingle_k,
-                                       seed=seed, text_col=text_col, id_col=id_col),
-            concurrency=concurrency,
+            MinHasher(num_perm=num_perm, shingle_k=shingle_k, seed=seed,
+                      text_col=text_col, id_col=id_col),
             batch_size=2048,  # bounds the (shingles x perms) hash matrix
-            batch_format="pyarrow", zero_copy_batch=True, num_cpus=1,
+            **_PA_KW,
         )
 
         def bands_with_bucket(t: pa.Table) -> pa.Table:

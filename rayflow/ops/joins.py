@@ -15,8 +15,9 @@ internal/impl/pure/processor_branch.go⟩``).  Ray-Data-native mappings:
 - **sharded_join** — both sides large: ``Dataset.join`` (hash shuffle
   on the key, Ray ≥ 2.46).  The partition count is explicit — at scale
   pick it so each partition's build side fits a worker's heap.
-- **semi/anti** via ``broadcast_semi`` — broadcast the key set, filter
-  inside ``map_batches``.
+- **semi/anti** — ``broadcast_semi`` filters by a broadcast key set;
+  ``sharded_semi`` broadcasts a right side's distinct keys up to
+  ``SEMI_BROADCAST_BYTES`` and hash joins against them above it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import pyarrow.compute as pc
 from rayflow.ops import register_op
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
+
+#: distinct right-key bytes above which ``sharded_semi`` hash joins.
+SEMI_BROADCAST_BYTES = 64 << 20
 
 #: per-worker-process cache of fetched broadcast objects: ref.hex() → value.
 #: ``ray.get`` on an already-local object is cheap, but the pandas index /
@@ -197,7 +201,7 @@ def build_broadcast_semi(*, keys_ref, on: str, anti: bool = False):
     ref = keys_ref if isinstance(keys_ref, ray.ObjectRef) else ray.put(keys_ref)
 
     def derive(keys):
-        return pa.array(sorted(set(keys)))
+        return keys if isinstance(keys, pa.Array) else pa.array(sorted(set(keys)))
 
     def fn(t: pa.Table) -> pa.Table:
         value_set = _fetch(ref, derive)
@@ -249,64 +253,83 @@ def _bloom_prefilter(ds, right, on: str, right_key: str,
     return candidates, definite
 
 
+def _pad_null_row(t: pa.Table, tag: str) -> pa.Table:
+    """Append one all-null row, flagged True in a new bool column ``tag``.
+    Ray's hash join (2.49) takes a side's schema from its first block
+    only; if that block is empty (a selective bloom prefilter), every
+    partition that gets no row of the side has no columns and the join
+    raises.  A null key matches nothing."""
+    row = pa.Table.from_arrays(
+        [pa.nulls(1, f.type) for f in t.schema] + [pa.array([True])],
+        names=t.column_names + [tag])
+    t = t.append_column(tag, pa.array(np.zeros(t.num_rows, bool)))
+    return pa.concat_tables([t, row])
+
+
 @register_op("sharded_semi")
 def build_sharded_semi(*, right, on: str, right_on: str | None = None,
                        anti: bool = False, num_partitions: int = 16,
                        bloom_bits_per_key: int | None = None):
-    """Semi/anti join with NO size assumption on either side (the
-    broadcast variant needs the key set in one object): the right side
-    is reduced to DISTINCT keys plus a marker column, LEFT-OUTER hash
-    joined, and the marker's presence/absence is the filter.  Left
-    columns pass through unchanged; exactly one keyed exchange, with
-    the right side pre-shrunk to its key cardinality.
+    """Semi/anti join with NO size assumption on either side.  The right
+    side is reduced to its distinct non-null keys and materialized, so
+    it runs once.  Up to ``SEMI_BROADCAST_BYTES`` the key set is
+    broadcast and each left batch is filtered by ``pc.is_in`` in a
+    stateless task (``broadcast_semi``).  Above it the keys, with a
+    count column as marker, are LEFT-OUTER hash joined
+    (``Dataset.join``) and the marker's presence is the filter.  Left
+    columns pass through unchanged; a null left key never matches, so
+    semi drops it and anti keeps it.
 
-    ``bloom_bits_per_key`` (opt-in) builds a Bloom filter of the right
-    keys ONCE, broadcasts it (m/8 bytes regardless of key count) and
-    prefilters the left side BEFORE the exchange: semi ships only
-    maybe-members; anti resolves bloom-misses with no exchange at all
-    and joins only the maybe-members.  The join stays exact — bloom
-    false positives just ride the exchange and get filtered there."""
+    ``bloom_bits_per_key`` (join path only) broadcasts a Bloom filter
+    of the keys (m/8 bytes) and prefilters the left side BEFORE the
+    exchange: semi ships only maybe-members; anti resolves bloom misses
+    with no exchange.  False positives ride the exchange and are
+    filtered there, so the join stays exact."""
 
     def apply(ds):
+        import ray
+
         from rayflow.ops import build_op
+        from rayflow.ops.kernels import clamp_join_partitions, collect_table
 
         rk = right_on or on
+        # renamed: Dataset.join rejects a column name present on both sides
+        keys = build_op({
+            "op": "group_agg", "keys": ["__semi_k"],
+            "aggs": [("count", None, "__semi_n")],
+        })(right.map_batches(
+            lambda t: pa.table({"__semi_k": pc.drop_null(t.column(rk))}),
+            **_PA_KW)).materialize()
+        if keys.size_bytes() <= SEMI_BROADCAST_BYTES:
+            kt = collect_table(keys)
+            if kt.num_rows == 0:  # no right key: anti keeps all, semi none
+                return ds if anti else ds.map_batches(
+                    lambda t: t.slice(0, 0), **_PA_KW)
+            return build_broadcast_semi(
+                keys_ref=ray.put(kt.column("__semi_k").combine_chunks()),
+                on=on, anti=anti)(ds)
         definite = None
         if bloom_bits_per_key:
             ds, definite = _bloom_prefilter(
-                ds, right, on, rk, bloom_bits_per_key, anti)
-        keys = build_op({
-            "op": "group_agg", "keys": [rk],
-            "aggs": [("count", None, "__semi_n")],
-        })(right)
-        if rk == on:
-            # Dataset.join rejects duplicate column names across sides.
-            # NB: bind rk as a default — the map runs lazily, after the
-            # rk = f"__semi_{rk}" reassignment below (late-binding trap)
-            keys = keys.map_batches(
-                lambda t, _rk=rk: t.rename_columns(
-                    [f"__semi_{c}" if c == _rk else c
-                     for c in t.column_names]),
-                batch_format="pyarrow", zero_copy_batch=True)
-            rk = f"__semi_{rk}"
+                ds, keys, on, "__semi_k", bloom_bits_per_key, anti)
 
         def finish(t: pa.Table) -> pa.Table:
             mask = pc.is_valid(t.column("__semi_n"))
             if anti:
                 mask = pc.invert(mask)
-            out = t.filter(mask)
+            out = t.filter(pc.and_not(mask, t.column("__semi_pad")))
             return out.drop_columns(
-                [c for c in ("__semi_n", rk) if c in out.column_names])
+                [c for c in ("__semi_k", "__semi_n", "__semi_pad",
+                             "__semi_rpad") if c in out.column_names])
 
-        from rayflow.ops.kernels import clamp_join_partitions
-
-        joined = ds.join(
-            keys, join_type="left_outer",
+        joined = ds.map_batches(
+            lambda t: _pad_null_row(t, "__semi_pad"), **_PA_KW).join(
+            keys.map_batches(lambda t: _pad_null_row(t, "__semi_rpad"),
+                             **_PA_KW), join_type="left_outer",
             num_partitions=clamp_join_partitions(num_partitions),
-            on=(on,), right_on=(rk,),
+            on=(on,), right_on=("__semi_k",),
         )
-        out = joined.map_batches(finish, batch_format="pyarrow",
-                                 zero_copy_batch=True)
+        out = joined.map_batches(finish, **_PA_KW)
         if definite is not None:
             out = out.union(definite)  # bloom-miss rows: proven absent
         return out

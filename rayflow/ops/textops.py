@@ -185,7 +185,7 @@ def _process_scorer() -> LangIdScorer:
     map_batches (reusing Ray's warm workers, no actor spin-up) beats
     ``concurrency=N`` actors by ~1s of fixed latency per execution.
     Stages with genuinely heavy init (models, indexes) should keep the
-    callable-class actor form — see MinHasher / MediaDecoder."""
+    callable-class actor form — see MediaDecoder."""
     global _SCORER
     try:
         return _SCORER

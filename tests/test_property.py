@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rayflow.cdc.merge import drop_duplicate_lsns, lww_reduce
@@ -15,7 +15,9 @@ from rayflow.ops.kernels import argextreme_reduce, explode_list
 from rayflow.ops.windows import explode_sliding
 from rayflow.schema import conform, unify
 
-# small-alphabet keys force collisions; lsn values unique by construction
+# small-alphabet keys force collisions; generated lsn values are unique
+# (row order), while the explicit examples give a 4th tuple element: an
+# LSN shared across keys, as every row of one source transaction has
 events = st.lists(
     st.tuples(
         st.sampled_from(["a", "b", "c", "d"]),          # conv_id
@@ -33,35 +35,50 @@ def _to_table(evs):
         "conv_id": pa.array([e[0] for e in evs], pa.string()),
         "turn_idx": pa.array([e[1] for e in evs], pa.int32()),
         "op": pa.array([e[2] for e in evs], pa.string()),
-        "lsn": pa.array(np.arange(n, dtype=np.int64)),
+        "lsn": pa.array([e[3] if len(e) > 3 else i
+                         for i, e in enumerate(evs)], pa.int64()),
         "text": pa.array([f"{e[0]}-{e[1]}-v{i}" for i, e in enumerate(evs)]),
     })
 
 
+#: a@5 beside a@7 while b@5 shares a@5's LSN; b@5 before a@5
+SHARED_LSN = [("a", 0, "insert", 5), ("a", 0, "update", 7),
+              ("b", 0, "insert", 5)]
+SHARED_LSN_PAIR = [("b", 0, "insert", 5), ("a", 0, "insert", 5)]
+
+
+def _by_lsn(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(["lsn", "conv_id", "turn_idx"]).reset_index(drop=True)
+
+
 @given(events)
+@example(SHARED_LSN)
+@example(SHARED_LSN_PAIR)
 @settings(max_examples=60, deadline=None)
 def test_lww_reduce_matches_pandas(evs):
     tbl = _to_table(evs)
-    got = lww_reduce(tbl).to_pandas().sort_values("lsn").reset_index(drop=True)
+    got = _by_lsn(lww_reduce(tbl).to_pandas())
     if len(evs) == 0:
         assert len(got) == 0
         return
     df = tbl.to_pandas()
-    want = (
-        df.sort_values("lsn").groupby(["conv_id", "turn_idx"], as_index=False).tail(1)
-        .sort_values("lsn").reset_index(drop=True)
+    want = _by_lsn(
+        df.sort_values("lsn", kind="stable")
+        .groupby(["conv_id", "turn_idx"], as_index=False).tail(1)
     )
     pd.testing.assert_frame_equal(got, want)
 
 
 @given(events, st.integers(1, 4))
+@example(SHARED_LSN, 2)
+@example(SHARED_LSN_PAIR, 2)
 @settings(max_examples=40, deadline=None)
 def test_lww_reduce_partition_invariance(evs, n_parts):
     """Reducing per partition then re-reducing equals one global reduce —
     the property the two-phase merge (block partial + per-partition
     final) depends on."""
     tbl = _to_table(evs)
-    whole = lww_reduce(tbl).to_pandas().sort_values("lsn").reset_index(drop=True)
+    whole = _by_lsn(lww_reduce(tbl).to_pandas())
     pieces = []
     for i in range(n_parts):
         piece = tbl.filter(
@@ -69,18 +86,20 @@ def test_lww_reduce_partition_invariance(evs, n_parts):
         )
         pieces.append(lww_reduce(piece))
     recombined = lww_reduce(pa.concat_tables(pieces)) if pieces else tbl
-    got = recombined.to_pandas().sort_values("lsn").reset_index(drop=True)
+    got = _by_lsn(recombined.to_pandas())
     pd.testing.assert_frame_equal(got, whole)
 
 
 @given(events)
+@example(SHARED_LSN)
+@example(SHARED_LSN_PAIR)
 @settings(max_examples=30, deadline=None)
 def test_drop_duplicate_lsns_idempotent(evs):
     tbl = _to_table(evs)
     doubled = pa.concat_tables([tbl, tbl])  # simulate a replayed batch
     got = drop_duplicate_lsns(doubled)
     assert got.num_rows == tbl.num_rows
-    assert sorted(got["lsn"].to_pylist()) == sorted(tbl["lsn"].to_pylist())
+    assert _by_lsn(got.to_pandas()).equals(_by_lsn(tbl.to_pandas()))
 
 
 @given(st.lists(st.integers(0, 10**6), min_size=0, max_size=50, unique=True))

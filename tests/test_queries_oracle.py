@@ -115,3 +115,54 @@ def test_no_oracle_queries_run_and_return_rows(sf01_dir):
         df = _to_pandas(QUERIES[name](sf01_dir))
         assert len(df.columns) > 0, name
         assert len(df) > 0, f"{name}: empty result"
+
+
+_TWO_CPU_SCRIPT = r"""
+import sys
+
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+from rayflow.queries import ORACLE_SQL, QUERIES
+from tests.test_queries_oracle import _compare, _duck, _to_pandas
+
+sf_dir = sys.argv[1]
+for name in sys.argv[2:]:
+    con = _duck(sf_dir)
+    _compare(_to_pandas(QUERIES[name](sf_dir)),
+             con.sql(ORACLE_SQL[name]).df(), name)
+    con.close()
+    print("ok", name, flush=True)
+ray.shutdown()
+"""
+
+
+def test_actor_free_queries_finish_at_two_cpus(sf01_dir):
+    """``minhash_near_dup`` and ``sft_corpus_transcripts`` start no
+    actor pool or join aggregators, so a 2-CPU Ray session (its own, in
+    a child process) runs them to their oracles instead of waiting on
+    actors that hold every CPU."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    names = ["minhash_near_dup", "sft_corpus_transcripts"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root, RAY_ADDRESS="")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _TWO_CPU_SCRIPT, sf01_dir, *names],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the child's Ray processes too
+        out, err = proc.communicate()
+        pytest.fail(f"no result within 180 s at num_cpus=2; done: {out!r}")
+    assert proc.returncode == 0, err[-3000:]
+    done = [ln for ln in out.splitlines() if ln.startswith("ok ")]
+    assert done == [f"ok {n}" for n in names]

@@ -1208,6 +1208,47 @@ def test_sharded_semi_anti_agree_with_broadcast(ray_session):
     # semi keeps 2,4; anti keeps 1,3,5,5
 
 
+@pytest.mark.parametrize("anti", [False, True], ids=["semi", "anti"])
+@pytest.mark.parametrize("lk,rk", [
+    ([1, None, 2, 3, None, 5, 5], [2, None, 5, 9, 5]),
+    (["a", None, "b", "c", None, "e", "e"], ["b", None, "e", "z", "e"]),
+    ([1, None, 2], pa.array([None, None], pa.int64())),
+], ids=["int", "str", "no-right-key"])
+def test_sharded_semi_broadcast_and_join_paths_agree(
+        ray_session, monkeypatch, anti, lk, rk):
+    """The broadcast path (small key set, the default) and the
+    bloom-prefiltered or plain ``Dataset.join`` path (forced with a
+    0-byte broadcast limit) both give SQL semi/anti semantics: null
+    keys on either side never match, so semi drops null left keys and
+    anti keeps them."""
+    import ray.data as rd
+
+    from rayflow.ops import joins
+    from rayflow.ops.kernels import collect_table
+
+    left = pa.table({"k": lk, "v": pa.array(range(len(lk)), pa.int64())})
+    right = pa.table({"rk": rk})
+
+    def run(bloom=None):
+        # collect_table keeps the columns of an empty result (to_pandas
+        # on an empty Ray dataset drops them)
+        return collect_table(build_op({
+            "op": "sharded_semi", "right": rd.from_arrow(right),
+            "on": "k", "right_on": "rk", "anti": anti,
+            "num_partitions": 2, "bloom_bits_per_key": bloom,
+        })(rd.from_arrow(left).repartition(3))).to_pandas() \
+            .sort_values("v", ignore_index=True)
+
+    ldf = left.to_pandas()
+    member = ldf["k"].isin(right["rk"].drop_null().to_pylist()) \
+        & ldf["k"].notna()
+    want = left.filter(pa.array(~member if anti else member)).to_pandas()
+    bcast = run()
+    monkeypatch.setattr(joins, "SEMI_BROADCAST_BYTES", 0)
+    for got in (bcast, run(), run(bloom=8)):
+        pd.testing.assert_frame_equal(got, want)
+
+
 # -- profile_columns -----------------------------------------------------------
 
 

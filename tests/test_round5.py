@@ -486,6 +486,30 @@ def test_ann_pq_recall_and_planted(ray_session, sf_dir):
             == r1["query_id"].to_numpy() + 1_000_000).all()
 
 
+def test_ann_pq_rerank_zero_keeps_a_full_shortlist(ray_session):
+    """``rerank=0`` (ADC only) must not shrink the streaming scan's
+    shortlist to one candidate per batch: it returns k rows per query,
+    the same as ``rerank=1``, as the index probe already does."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(3)
+    vecs = rng.normal(size=(300, 16))
+    corpus = pa.table({"vec_id": np.arange(300, dtype=np.int64),
+                       "embedding": list(vecs)})
+
+    def run(rerank):
+        return build_op({
+            "op": "ann_pq", "queries": vecs[:5], "query_ids": np.arange(5),
+            "k": 5, "m_sub": 4, "k_sub": 16, "rerank": rerank,
+            "train_sample": vecs, "index_above_bytes": None,
+        })(rd.from_arrow(corpus)).to_pandas() \
+            .sort_values(["query_id", "rank"], ignore_index=True)
+
+    adc_only = run(0)
+    assert (adc_only.groupby("query_id").size() == 5).all()
+    pd.testing.assert_frame_equal(adc_only, run(1))
+
+
 def test_pq_encode_artifact(ray_session, sf_dir):
     """pq_encode appends fixed_size_binary(m_sub) codes: m_sub bytes
     per vector, deterministic across runs, identical vectors get
