@@ -51,23 +51,12 @@ def lww_reduce(tbl: pa.Table, key_cols: list[str] = KEY_COLUMNS,
                lsn_col: str = "lsn") -> pa.Table:
     """Keep exactly one row per key: the max ``(lsn, src_ts)``, a null
     ``src_ts`` (hydrated base rows) ordering first; on a full tie the
-    later row wins.  Pure vectorized Arrow, winners in input order.
-
-    Fast path: grouped max over LSNs plus a membership filter.  It
-    keeps every key's max-``lsn`` row, so when it keeps exactly one row
-    per key those rows are the winners.  Otherwise an LSN is shared
-    across keys (one source transaction) or tied within a key: one
-    stable sort on ``(lsn, src_ts)``, then each key's last row from an
-    ordered group-by."""
+    later row wins.  One stable sort on ``(lsn, src_ts)``, then each
+    key's last row from an ordered group-by — per key, since rows of
+    one source transaction share an LSN.  Pure vectorized Arrow,
+    winners in input order."""
     if tbl.num_rows == 0:
         return tbl
-    winners = tbl.group_by(key_cols, use_threads=False).aggregate([(lsn_col, "max")])
-    win_lsns = winners.column(f"{lsn_col}_max")
-    if len(win_lsns) == tbl.num_rows:  # all keys already unique
-        return tbl
-    out = tbl.filter(pc.is_in(tbl.column(lsn_col), value_set=win_lsns.combine_chunks()))
-    if out.num_rows == len(win_lsns):
-        return out
     order_cols = [lsn_col] + (["src_ts"] if "src_ts" in tbl.column_names else [])
     order = pc.sort_indices(tbl.select(order_cols),
                             sort_keys=[(c, "ascending") for c in order_cols],
@@ -75,6 +64,8 @@ def lww_reduce(tbl: pa.Table, key_cols: list[str] = KEY_COLUMNS,
     ranked = tbl.select(key_cols).take(order).append_column("__row", order)
     last = ranked.group_by(key_cols, use_threads=False).aggregate(
         [("__row", "last")]).column("__row_last")
+    if len(last) == tbl.num_rows:  # all keys already unique
+        return tbl
     return tbl.take(np.sort(last.to_numpy()))
 
 

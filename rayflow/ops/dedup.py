@@ -1583,8 +1583,9 @@ def build_dedup_against(*, ref, text_col: str = "text",
       all; right size bounded by ``broadcast_limit`` with a loud
       error.
     * ``sharded`` — both sides get a digest column and the existing
-      ``sharded_semi(anti=True)`` runs: one keyed exchange, the ref
-      side pre-shrunk to distinct digests, NO size assumption.
+      ``sharded_semi(anti=True)`` runs on the ref side's distinct
+      digests: broadcast while they are small, one keyed exchange
+      above that; NO size assumption.
     * ``auto`` — broadcast when ``ref.count()`` fits the limit
       (metadata-only for plain parquet reads), else sharded.
     """

@@ -13,8 +13,10 @@ internal/impl/pure/processor_branch.go⟩``).  Ray-Data-native mappings:
   vectorized pandas merge per batch as stateless tasks — elastic, and
   no actor pool that could reserve every CPU on a small node.
 - **sharded_join** — both sides large: ``Dataset.join`` (hash shuffle
-  on the key, Ray ≥ 2.46).  The partition count is explicit — at scale
-  pick it so each partition's build side fits a worker's heap.
+  on the key, Ray ≥ 2.46) through ``_hash_join``, which pads every
+  block so an empty first block cannot lose a side's schema.  The
+  partition count is explicit — at scale pick it so each partition's
+  build side fits a worker's heap.
 - **semi/anti** — ``broadcast_semi`` filters by a broadcast key set;
   ``sharded_semi`` broadcasts a right side's distinct keys up to
   ``SEMI_BROADCAST_BYTES`` and hash joins against them above it.
@@ -253,17 +255,50 @@ def _bloom_prefilter(ds, right, on: str, right_key: str,
     return candidates, definite
 
 
-def _pad_null_row(t: pa.Table, tag: str) -> pa.Table:
-    """Append one all-null row, flagged True in a new bool column ``tag``.
-    Ray's hash join (2.49) takes a side's schema from its first block
-    only; if that block is empty (a selective bloom prefilter), every
-    partition that gets no row of the side has no columns and the join
-    raises.  A null key matches nothing."""
-    row = pa.Table.from_arrays(
-        [pa.nulls(1, f.type) for f in t.schema] + [pa.array([True])],
-        names=t.column_names + [tag])
-    t = t.append_column(tag, pa.array(np.zeros(t.num_rows, bool)))
-    return pa.concat_tables([t, row])
+def _hash_join(left, right, *, join_type: str, on, right_on,
+               num_partitions: int):
+    """``Dataset.join`` that survives empty blocks.  Ray's hash join
+    (2.49) takes a side's schema from its first block only; if that
+    block is empty (after a filter or bloom prefilter), partitions that
+    get no row of the side have no columns and the join raises.  So
+    every block of both sides gets one all-null row (fields relaxed to
+    nullable).  A null key matches nothing; where the join keeps a
+    side's unmatched rows, a bool tag marks its pads and they are
+    dropped after the join."""
+    from rayflow.ops.kernels import clamp_join_partitions
+
+    def pad(tag):
+        def fn(t: pa.Table) -> pa.Table:
+            schema = pa.schema([f.with_nullable(True) for f in t.schema],
+                               metadata=t.schema.metadata)
+            t = pa.concat_tables([
+                pa.Table.from_arrays(t.columns, schema=schema),
+                pa.Table.from_arrays([pa.nulls(1, f.type) for f in schema],
+                                     schema=schema)])
+            if tag:
+                t = t.append_column(
+                    tag, pa.array(np.arange(t.num_rows) == t.num_rows - 1))
+            return t
+
+        return fn
+
+    # pads of a side survive only where its unmatched rows are kept
+    ltag = "__pad_l" if join_type in (
+        "left_outer", "full_outer", "left_anti") else None
+    rtag = "__pad_r" if join_type in (
+        "right_outer", "full_outer", "right_anti") else None
+
+    def unpad(t: pa.Table) -> pa.Table:
+        tags = [c for c in (ltag, rtag) if c in t.column_names]
+        for c in tags:
+            t = t.filter(pc.invert(pc.fill_null(t.column(c), False)))
+        return t.drop_columns(tags)
+
+    joined = left.map_batches(pad(ltag), **_PA_KW).join(
+        right.map_batches(pad(rtag), **_PA_KW), join_type=join_type,
+        num_partitions=clamp_join_partitions(num_partitions),
+        on=tuple(on), right_on=tuple(right_on) if right_on else None)
+    return joined.map_batches(unpad, **_PA_KW) if ltag or rtag else joined
 
 
 @register_op("sharded_semi")
@@ -272,11 +307,12 @@ def build_sharded_semi(*, right, on: str, right_on: str | None = None,
                        bloom_bits_per_key: int | None = None):
     """Semi/anti join with NO size assumption on either side.  The right
     side is reduced to its distinct non-null keys and materialized, so
-    it runs once.  Up to ``SEMI_BROADCAST_BYTES`` the key set is
+    it runs once (on the join path too: the object store spills a key
+    set larger than memory).  Up to ``SEMI_BROADCAST_BYTES`` the key set is
     broadcast and each left batch is filtered by ``pc.is_in`` in a
     stateless task (``broadcast_semi``).  Above it the keys, with a
     count column as marker, are LEFT-OUTER hash joined
-    (``Dataset.join``) and the marker's presence is the filter.  Left
+    (``_hash_join``) and the marker's presence is the filter.  Left
     columns pass through unchanged; a null left key never matches, so
     semi drops it and anti keeps it.
 
@@ -290,7 +326,7 @@ def build_sharded_semi(*, right, on: str, right_on: str | None = None,
         import ray
 
         from rayflow.ops import build_op
-        from rayflow.ops.kernels import clamp_join_partitions, collect_table
+        from rayflow.ops.kernels import collect_table
 
         rk = right_on or on
         # renamed: Dataset.join rejects a column name present on both sides
@@ -317,19 +353,14 @@ def build_sharded_semi(*, right, on: str, right_on: str | None = None,
             mask = pc.is_valid(t.column("__semi_n"))
             if anti:
                 mask = pc.invert(mask)
-            out = t.filter(pc.and_not(mask, t.column("__semi_pad")))
-            return out.drop_columns(
-                [c for c in ("__semi_k", "__semi_n", "__semi_pad",
-                             "__semi_rpad") if c in out.column_names])
+            out = t.filter(mask)
+            return out.drop_columns([c for c in ("__semi_k", "__semi_n")
+                                     if c in out.column_names])
 
-        joined = ds.map_batches(
-            lambda t: _pad_null_row(t, "__semi_pad"), **_PA_KW).join(
-            keys.map_batches(lambda t: _pad_null_row(t, "__semi_rpad"),
-                             **_PA_KW), join_type="left_outer",
-            num_partitions=clamp_join_partitions(num_partitions),
-            on=(on,), right_on=("__semi_k",),
-        )
-        out = joined.map_batches(finish, **_PA_KW)
+        out = _hash_join(ds, keys, join_type="left_outer", on=(on,),
+                         right_on=("__semi_k",),
+                         num_partitions=num_partitions).map_batches(
+            finish, **_PA_KW)
         if definite is not None:
             out = out.union(definite)  # bloom-miss rows: proven absent
         return out
@@ -386,16 +417,9 @@ def build_sharded_join(*, right, on: list[str], right_on: list[str] | None = Non
                     return build_broadcast_join(
                         small=small, on=on, right_on=right_on, how=how)(ds)
         # Dataset.join takes *_outer names
-        from rayflow.ops.kernels import clamp_join_partitions
-
         jt = {"left": "left_outer", "right": "right_outer"}.get(how, how)
-        return ds.join(
-            r,
-            join_type=jt,
-            num_partitions=clamp_join_partitions(num_partitions),
-            on=tuple(on),
-            right_on=tuple(right_on) if right_on else None,
-        )
+        return _hash_join(ds, r, join_type=jt, on=on, right_on=right_on,
+                          num_partitions=num_partitions)
 
     return apply
 

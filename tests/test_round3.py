@@ -1208,19 +1208,26 @@ def test_sharded_semi_anti_agree_with_broadcast(ray_session):
     # semi keeps 2,4; anti keeps 1,3,5,5
 
 
+def _not_null(t: pa.Table) -> pa.Table:
+    """``t`` with every field declared non-null (Parquet ``required``)."""
+    return pa.Table.from_arrays(t.columns, schema=pa.schema(
+        [f.with_nullable(False) for f in t.schema]))
+
+
 @pytest.mark.parametrize("anti", [False, True], ids=["semi", "anti"])
 @pytest.mark.parametrize("lk,rk", [
     ([1, None, 2, 3, None, 5, 5], [2, None, 5, 9, 5]),
     (["a", None, "b", "c", None, "e", "e"], ["b", None, "e", "z", "e"]),
     ([1, None, 2], pa.array([None, None], pa.int64())),
-], ids=["int", "str", "no-right-key"])
+    ([1, 2, 3, 5, 5], [2, 5, 9, 5]),
+], ids=["int", "str", "no-right-key", "int-not-null"])
 def test_sharded_semi_broadcast_and_join_paths_agree(
         ray_session, monkeypatch, anti, lk, rk):
     """The broadcast path (small key set, the default) and the
     bloom-prefiltered or plain ``Dataset.join`` path (forced with a
     0-byte broadcast limit) both give SQL semi/anti semantics: null
     keys on either side never match, so semi drops null left keys and
-    anti keeps them."""
+    anti keeps them.  Inputs without nulls are declared non-null."""
     import ray.data as rd
 
     from rayflow.ops import joins
@@ -1228,6 +1235,8 @@ def test_sharded_semi_broadcast_and_join_paths_agree(
 
     left = pa.table({"k": lk, "v": pa.array(range(len(lk)), pa.int64())})
     right = pa.table({"rk": rk})
+    if None not in lk and right["rk"].null_count == 0:
+        left, right = _not_null(left), _not_null(right)
 
     def run(bloom=None):
         # collect_table keeps the columns of an empty result (to_pandas
@@ -1247,6 +1256,41 @@ def test_sharded_semi_broadcast_and_join_paths_agree(
     monkeypatch.setattr(joins, "SEMI_BROADCAST_BYTES", 0)
     for got in (bcast, run(), run(bloom=8)):
         pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize("how,bloom", [
+    ("inner", None), ("inner", 8), ("left", None), ("full_outer", None),
+], ids=["inner", "inner-bloom", "left", "full-outer"])
+def test_sharded_join_pads_blocks_exactly(ray_session, how, bloom):
+    """Ray's hash join sends a side's schema with its first block only,
+    so a bloom prefilter that emptied the left side's first block
+    crashed the join.  ``sharded_join`` pads every block with a
+    null-key row: inputs declared non-null must still join, and no pad
+    row may reach an inner, left or full outer result."""
+    import ray.data as rd
+
+    from rayflow.ops.kernels import collect_table
+
+    left = _not_null(pa.table({"k": pa.array([1, 7, 2, 3, 8, 5, 5]),
+                               "v": pa.array(range(7))}))
+    right = _not_null(pa.table({"k2": pa.array([2, 5, 9]),
+                                "w": pa.array([20, 50, 90])}))
+    lds = rd.from_arrow(left).repartition(3).map_batches(
+        lambda t: t.filter(pc.greater_equal(t["v"], 3)),
+        batch_format="pyarrow")
+    got = collect_table(build_op({
+        "op": "sharded_join", "right": rd.from_arrow(right), "on": ["k"],
+        "right_on": ["k2"], "how": how, "num_partitions": 2,
+        "bloom_bits_per_key": bloom,
+    })(lds))
+    # Dataset.join keeps one key column, ``k``
+    rows = {(r["k"], r["v"], r["w"]) for r in got.to_pylist()}
+    want = {(5, 5, 50), (5, 6, 50)}
+    if how in ("left", "full_outer"):
+        want |= {(3, 3, None), (8, 4, None)}
+    if how == "full_outer":
+        want |= {(2, None, 20), (9, None, 90)}
+    assert got.num_rows == len(want) and rows == want
 
 
 # -- profile_columns -----------------------------------------------------------
