@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 
 from rayflow import expr as E
 from rayflow.ops import register_op
-from rayflow.ops.kernels import argextreme_reduce, explode_list
+from rayflow.ops.kernels import argextreme_reduce, explode_list, shard_exchange
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
 
@@ -181,29 +181,12 @@ def build_dedupe(*, keys: list[str], order_col: str, keep: str = "max",
                 lambda t: argextreme_reduce(t, keys, order_col, keep),
                 batch_size=None, **_PA_KW,
             )
-        from rayflow.ops import prefer_push_shuffle
-
-        prefer_push_shuffle()
-
         # COARSE key shards, not one Ray group per key — argextreme is
         # a multi-key table kernel already, so each shard reduces all
         # its keys in one vectorized pass
-        def add_shard(t: pa.Table) -> pa.Table:
-            from rayflow.ops.kernels import shard_codes
-
-            combo = (t.column(keys[0]) if len(keys) == 1 else
-                     pc.binary_join_element_wise(
-                         *[pc.cast(t.column(c), pa.string())
-                           for c in keys], "#"))
-            return t.append_column(
-                "_dd_shard", pa.array(shard_codes(combo, 64), pa.int64()))
-
-        return partials.map_batches(add_shard, **_PA_KW) \
-            .groupby("_dd_shard").map_groups(
-                lambda t: argextreme_reduce(
-                    t, keys, order_col, keep).drop_columns(["_dd_shard"]),
-                batch_format="pyarrow",
-            )
+        return shard_exchange(
+            partials, keys,
+            lambda t: argextreme_reduce(t, keys, order_col, keep))
 
     return apply
 
@@ -529,37 +512,17 @@ def build_group_topk(*, keys: list[str], order_col: str, k: int,
     composition in the reference).  Per-group pandas sort on the shuffled
     groups; ``tiebreak`` column makes results deterministic under ties."""
 
-    def apply(ds):
-        import pandas as pd
+    by = [order_col] + ([tiebreak] if tiebreak else [])
+    asc = [not descending] + ([True] if tiebreak else [])
 
-        from rayflow.ops import prefer_push_shuffle
+    def per_shard(g):
+        # whole-shard vectorized: one sort + grouped head over ALL of
+        # the shard's keys (no per-key Ray group callbacks)
+        return (g.sort_values(by, ascending=asc)
+                 .groupby(keys, sort=False, dropna=False).head(k))
 
-        prefer_push_shuffle()
-        by = [order_col] + ([tiebreak] if tiebreak else [])
-        asc = [not descending] + ([True] if tiebreak else [])
-
-        def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-            # whole-shard vectorized: one sort + grouped head over ALL
-            # of the shard's keys (no per-key Ray group callbacks)
-            g = g.drop(columns=["_tk_shard"])
-            return (g.sort_values(by, ascending=asc)
-                     .groupby(keys, sort=False, dropna=False).head(k))
-
-        def add_shard(t: pa.Table) -> pa.Table:
-            from rayflow.ops.kernels import shard_codes
-
-            combo = (t.column(keys[0]) if len(keys) == 1 else
-                     pc.binary_join_element_wise(
-                         *[pc.cast(t.column(c), pa.string())
-                           for c in keys], "#"))
-            return t.append_column(
-                "_tk_shard", pa.array(shard_codes(combo, 64), pa.int64()))
-
-        return ds.map_batches(add_shard, **_PA_KW) \
-            .groupby("_tk_shard").map_groups(per_shard,
-                                             batch_format="pandas")
-
-    return apply
+    return lambda ds: shard_exchange(ds, keys, per_shard,
+                                     batch_format="pandas")
 
 
 @register_op("compress")
@@ -706,8 +669,9 @@ def build_group_percentile(*, keys: list[str], value_col: str,
                 rank = max(1, int(np.ceil(q * n)))
                 row[nm] = vals[np.searchsorted(cum, rank, side="left")]
             out_rows.append(row)
-        return pa.Table.from_pandas(pd.DataFrame(out_rows),
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            pd.DataFrame(out_rows, columns=keys + names),
+            preserve_index=False)
 
     def apply(ds):
         partials = ds.map_batches(partial, **_PA_KW)
@@ -910,8 +874,7 @@ def build_group_approx_percentile(*, keys: list[str], value_col: str,
                                   quantiles: list[float],
                                   lo: float, hi: float,
                                   n_bins: int = 4096,
-                                  prefix: str | None = None,
-                                  num_shards: int = 64):
+                                  prefix: str | None = None):
     """Approximate per-group percentiles of a CONTINUOUS column with a
     DECLARED fixed-bin histogram — the 100-TB companion to the exact
     ``group_percentile``: that op's (key, value, count) exchange is
@@ -946,16 +909,6 @@ def build_group_approx_percentile(*, keys: list[str], value_col: str,
         return t.drop_columns([value_col]).append_column(
             "_ap_bin", pa.array(b, pa.int64()))
 
-    def shard(t: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import shard_codes
-
-        key_arr = t.column(keys[0]) if len(keys) == 1 else \
-            pc.binary_join_element_wise(
-                *[pc.cast(t.column(k), pa.string()) for k in keys], "\x1f")
-        return t.append_column(
-            "_ap_shard",
-            pa.array(shard_codes(key_arr, num_shards), pa.int64()))
-
     def finish(g) -> "pa.Table":
         import pandas as pd
 
@@ -972,17 +925,15 @@ def build_group_approx_percentile(*, keys: list[str], value_col: str,
                 row[nm] = lo + width * bins[
                     np.searchsorted(cum, rank, side="left")]
             out_rows.append(row)
-        return pa.Table.from_pandas(pd.DataFrame(out_rows),
-                                    preserve_index=False)
+        return pa.Table.from_pandas(
+            pd.DataFrame(out_rows, columns=keys + names),
+            preserve_index=False)
 
     def apply(ds):
         ds = ds.map_batches(binned, **_PA_KW)
         hist = build_op({"op": "group_agg", "keys": keys + ["_ap_bin"],
                          "aggs": [("count", None, "_ap_n")]})(ds)
-        hist = hist.map_batches(shard, **_PA_KW)
-        out = hist.groupby("_ap_shard").map_groups(
-            finish, batch_format="pandas")
-        return out
+        return shard_exchange(hist, keys, finish, batch_format="pandas")
 
     return apply
 

@@ -36,6 +36,7 @@ import pyarrow.compute as pc
 
 from rayflow.ops import register_op
 from rayflow.ops.joins import _fetch
+from rayflow.ops.kernels import shard_exchange
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
 
@@ -474,7 +475,7 @@ def _cap_kernel(t: pa.Table, key_col: str, order_col: str, n: int,
 
 @register_op("group_cap")
 def build_group_cap(*, key_col: str, order_col: str, n: int,
-                    descending: bool = False, num_shards: int = 64):
+                    descending: bool = False):
     """Per-key row cap: keep at most ``n`` rows per ``key_col``, the
     ones FIRST by ``order_col`` — the per-domain / per-source document
     cap of a web-scale curation pipeline (bound any one host's share
@@ -486,30 +487,15 @@ def build_group_cap(*, key_col: str, order_col: str, n: int,
     with a SHARDED finish so millions of keys never funnel through one
     task): a per-batch cap first — a row outside its batch-local top-n
     cannot be in the global top-n, so each batch forwards ≤ n rows per
-    key it sees — then ONE keyed exchange over ``hash(key) %
-    num_shards`` coarse shards, each shard re-running the identical
-    vectorized kernel over all its keys at once (no per-key group
-    tasks, no single-task finish)."""
-    def partial(t: pa.Table) -> pa.Table:
+    key it sees — then ONE keyed exchange over coarse ``hash(key)``
+    shards, each shard re-running the identical vectorized kernel over
+    all its keys at once (no per-key group tasks, no single-task
+    finish)."""
+    def cap(t: pa.Table) -> pa.Table:
         return _cap_kernel(t, key_col, order_col, n, descending)
 
-    def shard(t: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import shard_codes
-
-        return t.append_column(
-            "_gc_shard",
-            pa.array(shard_codes(t.column(key_col), num_shards), pa.int64()))
-
-    def finish(g: pa.Table) -> pa.Table:
-        return _cap_kernel(g, key_col, order_col, n,
-                           descending).drop_columns(["_gc_shard"])
-
-    def apply(ds):
-        partials = ds.map_batches(partial, **_PA_KW)
-        return partials.map_batches(shard, **_PA_KW) \
-            .groupby("_gc_shard").map_groups(finish, batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds.map_batches(cap, **_PA_KW),
+                                     key_col, cap)
 
 
 def _salted_hash64(t: pa.Table, id_col: str, salt: str):

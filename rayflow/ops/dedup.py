@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rayflow.ops import register_op
+from rayflow.ops.kernels import shard_exchange
 
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
@@ -1385,36 +1386,17 @@ def build_group_hll(*, keys: list[str], column: str, p: int = 12,
         res[out] = int(round(hll_estimate(regs)))
         return res
 
-    def apply(ds):
-        from rayflow.ops import prefer_push_shuffle
-        from rayflow.ops.kernels import shard_codes
-
-        prefer_push_shuffle()
-        partials = ds.map_batches(partial, **_PA_KW)
-
+    def merge_shard(g: pd.DataFrame) -> pd.DataFrame:
         # coarse key shards: register merge per key runs as plain
-        # pandas iteration inside ~64 shard tasks, not one Ray group
+        # pandas iteration inside each shard task, not one Ray group
         # callback per key
-        def add_shard(t: pa.Table) -> pa.Table:
-            combo = (t.column(keys[0]) if len(keys) == 1 else
-                     pc.binary_join_element_wise(
-                         *[pc.cast(t.column(c), pa.string())
-                           for c in keys], "#"))
-            return t.append_column(
-                "_hll_shard", pa.array(shard_codes(combo, 64), pa.int64()))
+        outs = [merge(sub) for _, sub in
+                g.groupby(keys, sort=False, dropna=False)]
+        return (pd.concat(outs, ignore_index=True) if outs
+                else pd.DataFrame(columns=keys + [out]))
 
-        def merge_shard(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.drop(columns=["_hll_shard"])
-            outs = [merge(sub) for _, sub in
-                    g.groupby(keys, sort=False, dropna=False)]
-            return (pd.concat(outs, ignore_index=True) if outs
-                    else pd.DataFrame())
-
-        return partials.map_batches(add_shard, **_PA_KW) \
-            .groupby("_hll_shard").map_groups(merge_shard,
-                                              batch_format="pandas")
-
-    return apply
+    return lambda ds: shard_exchange(ds.map_batches(partial, **_PA_KW), keys,
+                                     merge_shard, batch_format="pandas")
 
 
 @register_op("heavy_hitters")
@@ -1717,16 +1699,8 @@ def build_paragraph_dedup(*, id_col: str = "doc_id", text_col: str = "text",
             "order_col": "_pd_rank", "keep": "min",
         })(paras)
 
-        # regroup by doc: COARSE shards (hash(id) % n), one pandas
-        # groupby-join per shard — per-doc work stays inside one
-        # vectorized-ish pass instead of one Ray group-task per doc
-        def shard(t: pa.Table) -> pa.Table:
-            h = t.column("_pd_id").to_numpy(
-                zero_copy_only=False).astype(np.uint64)
-            mixed = (h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(56)
-            return t.append_column(
-                "_pd_shard", pa.array(mixed.astype(np.int64), pa.int64()))
-
+        # regroup by doc: COARSE shards, per-doc work stays inside one
+        # vectorized pass instead of one Ray group-task per doc
         def rebuild(g: pa.Table) -> pa.Table:
             # Arrow end to end (the shard carries the corpus TEXT — a
             # pandas round-trip would object-box every paragraph):
@@ -1756,9 +1730,7 @@ def build_paragraph_dedup(*, id_col: str = "doc_id", text_col: str = "text",
                 out_col: joined.cast(pa.string()),
             })
 
-        return winners.map_batches(shard, **_PA_KW) \
-            .groupby("_pd_shard").map_groups(rebuild,
-                                             batch_format="pyarrow")
+        return shard_exchange(winners, "_pd_id", rebuild)
 
     return apply
 
@@ -2113,7 +2085,6 @@ def build_dup_span_remove(*, k_tokens: int = 50, text_col: str = "text",
         def pack_marks(g: pa.Table) -> pa.Table:
             # per-doc sorted-distinct positions joined "p1,p2,…" — all
             # Arrow/numpy: lexsort + run dedup + binary_join
-            g = g.drop_columns(["_dsr_shard"])
             ids = g.column(id_col).to_numpy(zero_copy_only=False)
             pos = g.column("pos").to_numpy(zero_copy_only=False)
             o = np.lexsort((pos, ids))
@@ -2141,16 +2112,7 @@ def build_dup_span_remove(*, k_tokens: int = 50, text_col: str = "text",
                 "_cut_pos": pc.binary_join(lists, ","),
             })
 
-        def mark_shard(t: pa.Table) -> pa.Table:
-            from rayflow.ops.kernels import shard_codes
-
-            return t.append_column(
-                "_dsr_shard",
-                pa.array(shard_codes(t.column(id_col), 64), pa.int64()))
-
-        packed = marks.map_batches(mark_shard, **_PA_KW) \
-            .groupby("_dsr_shard").map_groups(pack_marks,
-                                              batch_format="pyarrow")
+        packed = shard_exchange(marks, id_col, pack_marks)
 
         joined = build_op({
             "op": "sharded_join", "right": packed, "how": "left",

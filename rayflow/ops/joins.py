@@ -473,8 +473,7 @@ def _detect_hot_keys(ds, on: str, *, sample_fraction: float = 0.05,
 
 
 def _salted_map_groups(both, *, on: str, side_col: str, salt_keys,
-                       num_salts: int, per_shard,
-                       num_shards: int | None = None):
+                       num_salts: int, per_shard):
     """Key-grouped execution with optional hot-key salting (the CDC
     merge's salt-then-re-merge, applied to the join co-location
     exchange).  ``per_shard`` is an ARROW kernel over a co-located
@@ -492,37 +491,18 @@ def _salted_map_groups(both, *, on: str, side_col: str, salt_keys,
     right rows only."""
     from rayflow.ops import prefer_push_shuffle
 
-    prefer_push_shuffle()
     if not salt_keys or num_salts <= 1:
-        # COARSE shards, not one Ray group per key: hash(key) %
-        # num_shards co-locates every key's rows exactly like the
-        # per-key groupby, but the whole shard resolves in ONE
-        # segmented Arrow kernel — at corpus scale (millions of keys)
-        # per-key Ray group callbacks are the bottleneck, same
-        # reasoning as minhash's bucket groups.  ``num_shards=None``
-        # sizes the fan-out by BYTES (auto_num_shards) — a constant
-        # would make per-shard heap grow linearly with the data.
-        from rayflow.ops.kernels import auto_num_shards, shard_codes
+        # COARSE shards, not one Ray group per key: each shard resolves
+        # all its keys in ONE segmented Arrow kernel — at corpus scale
+        # (millions of keys) per-key Ray group callbacks are the
+        # bottleneck, same reasoning as minhash's bucket groups
+        from rayflow.ops.kernels import shard_exchange
 
-        if num_shards is None:
-            n_shards, both = auto_num_shards(both)
-        else:
-            n_shards = int(num_shards)
-
-        def add_shard(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "_smg_shard",
-                pa.array(shard_codes(t.column(on), n_shards), pa.int64()))
-
-        def run_shard(g: pa.Table) -> pa.Table:
-            return per_shard(g.drop_columns(["_smg_shard"]))
-
-        return both.map_batches(add_shard, **_PA_KW) \
-            .groupby("_smg_shard").map_groups(run_shard,
-                                              batch_format="pyarrow")
+        return shard_exchange(both, on, per_shard)
 
     import numpy as np
 
+    prefer_push_shuffle()
     hot_strs = sorted({str(v) for v in salt_keys})
 
     def add_salt(t: pa.Table) -> pa.Table:
@@ -568,8 +548,7 @@ def build_asof_join(*, right, on: str, time_col: str,
                     strategy: str = "auto",
                     broadcast_bytes_limit: int = 64 << 20,
                     salt_keys: list | None = None, num_salts: int = 8,
-                    auto_salt: bool = False,
-                    num_shards: int | None = None):
+                    auto_salt: bool = False):
     """As-of join — each left row picks the right row with the latest
     ``time_col`` ≤ its own (``direction="backward"``; ``"forward"`` =
     earliest ≥) within the same ``on`` key.  The enrichment shape Ray
@@ -587,7 +566,7 @@ def build_asof_join(*, right, on: str, time_col: str,
     - **shuffle** (``"shuffle"``, or auto when the right side is big):
       tag both sides, align schemas (missing columns are typed nulls),
       union, then ONE hash exchange — coarse hash(key) shards
-      (``num_shards=None`` → byte-sized fan-out) where the WHOLE
+      (:func:`~rayflow.ops.kernels.shard_exchange`) where the WHOLE
       shard resolves in one segmented Arrow sweep: lexsort by
       (key, time, side), then a run-encoded ``maximum.accumulate``
       carries each left row's latest visible right row — no per-key
@@ -768,8 +747,7 @@ def build_asof_join(*, right, on: str, time_col: str,
             hot = _detect_hot_keys(ds, on)
         return _salted_map_groups(both, on=on, side_col="_asof_side",
                                   salt_keys=hot, num_salts=num_salts,
-                                  per_shard=asof_shard,
-                                  num_shards=num_shards)
+                                  per_shard=asof_shard)
 
     return apply
 
@@ -778,8 +756,7 @@ def build_asof_join(*, right, on: str, time_col: str,
 def build_interval_join(*, right, on: str, time_col: str,
                         start_col: str, end_col: str, suffix: str = "_r",
                         salt_keys: list | None = None, num_salts: int = 8,
-                        auto_salt: bool = False,
-                        num_shards: int | None = None):
+                        auto_salt: bool = False):
     """Range (interval) join: INNER-join each left row to every right
     interval ``[start_col, end_col]`` that contains its ``time_col``,
     within the same ``on`` key — the event-in-window enrichment
@@ -903,7 +880,6 @@ def build_interval_join(*, right, on: str, time_col: str,
             hot = _detect_hot_keys(ds, on)
         return _salted_map_groups(both, on=on, side_col="_iv_side",
                                   salt_keys=hot, num_salts=num_salts,
-                                  per_shard=interval_shard,
-                                  num_shards=num_shards)
+                                  per_shard=interval_shard)
 
     return apply

@@ -343,9 +343,9 @@ def build_bloom_from(ds, key_col: str, *, bits_per_key: int = 10,
 
 def auto_num_shards(ds, *, target_shard_bytes: int = 256 << 20,
                     min_shards: int = 64, max_shards: int = 65536):
-    """Byte-based fan-out sizing for the coarse-shard keyed exchange
-    (the ``cdc/replay.py`` partition rule applied to window/join
-    shards): shards ≈ in-memory bytes ÷ ``target_shard_bytes``, floored
+    """Byte-based fan-out sizing for :func:`shard_exchange` (the
+    ``cdc/replay.py`` partition rule applied to coarse key shards):
+    shards ≈ in-memory bytes ÷ ``target_shard_bytes``, floored
     at ``min_shards`` (parallelism at small scale) and capped at
     ``max_shards`` (shard-column cardinality sanity).  A constant
     fan-out is a sizing hazard — at 100× the data each shard task holds
@@ -418,6 +418,64 @@ def shard_codes(keys, num_shards: int) -> "np.ndarray":
         keys = _pc.fill_null(keys, "\x00<null>")
     hi, _ = md5_rank64(keys)
     return (hi % np.uint64(num_shards)).astype(np.int64)
+
+
+SHARD_COL = "__shard"
+
+
+def shard_key(t: pa.Table, keys: list[str]):
+    """The one key rule for sharding: a single column as it is, several
+    columns cast to string with nulls filled and joined by ``\x1f`` —
+    equal keys (nulls included) always build equal strings."""
+    if len(keys) == 1:
+        return t.column(keys[0])
+    return pc.binary_join_element_wise(
+        *[pc.fill_null(pc.cast(t.column(k), pa.string()), "\x00")
+          for k in keys], "\x1f")
+
+
+def shard_exchange(ds, keys, fn, *, batch_format: str = "pyarrow"):
+    """The coarse-shard keyed exchange every grouped kernel shares
+    (Flink's key groups): rows hash by ``keys`` into a bounded set of
+    shards and ``fn`` runs once per shard over ALL of that shard's
+    keys — never one Ray group callback per key.
+
+    One policy for every caller: the push-based shuffle, the shard
+    count from :func:`auto_num_shards` (which materializes the input
+    once to size it), and :func:`shard_key` for multi-column keys.
+    ``fn`` gets a ``batch_format`` batch without the shard column.  An
+    empty input with a known schema runs ``fn`` once on an empty batch
+    of that schema, so the result carries ``fn``'s schema."""
+    import ray
+    import ray.data as rd
+
+    from rayflow.ops import prefer_push_shuffle
+
+    prefer_push_shuffle()
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    n, m = auto_num_shards(ds)
+    if m.count() == 0:
+        # a batch function upstream that never saw a batch leaves
+        # blocks without columns: nothing to run fn on
+        refs = m.to_arrow_refs()
+        empty = ray.get(refs[0]).slice(0, 0) if refs else pa.table({})
+        if not empty.num_columns:
+            return m
+        out = fn(empty if batch_format == "pyarrow" else empty.to_pandas())
+        return (rd.from_arrow(out) if isinstance(out, pa.Table)
+                else rd.from_pandas(out))
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            SHARD_COL, pa.array(shard_codes(shard_key(t, keys), n),
+                                pa.int64()))
+
+    def run(g):
+        return fn(g.drop_columns([SHARD_COL]) if batch_format == "pyarrow"
+                  else g.drop(columns=[SHARD_COL]))
+
+    return m.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True) \
+        .groupby(SHARD_COL).map_groups(run, batch_format=batch_format)
 
 
 def clamp_actor_concurrency(requested: int) -> int:

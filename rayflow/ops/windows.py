@@ -23,38 +23,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rayflow.ops import register_op
+from rayflow.ops.kernels import group_codes, shard_exchange, shard_key
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _epoch_us(col) -> pc.Expression | pa.ChunkedArray:
     return pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64())
-
-
-def _resolve_shards(ds, num_shards):
-    """Shared fan-out sizing for the coarse-shard keyed exchange:
-    ``num_shards=None`` (the default everywhere) sizes by BYTES via
-    :func:`rayflow.ops.kernels.auto_num_shards` — a constant fan-out
-    is a per-shard-heap hazard at 100× the data.  An explicit int is
-    honored verbatim (tests / known-small inputs)."""
-    if num_shards is not None:
-        return int(num_shards), ds
-    from rayflow.ops.kernels import auto_num_shards
-
-    return auto_num_shards(ds)
-
-
-def _shard_fn(key_col: str, out_col: str, ns: int):
-    """Batch fn appending the hash(key) % ns shard id column."""
-
-    def shard(t: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import shard_codes
-
-        return t.append_column(
-            out_col,
-            pa.array(shard_codes(t.column(key_col), ns), pa.int64()))
-
-    return shard
 
 
 def add_tumbling_bucket(t: pa.Table, ts_col: str, size_s: float,
@@ -319,44 +294,32 @@ def build_window_session(*, keys: list[str], ts_col: str, gap_s: float,
             b = pc.floor(pc.divide(pc.cast(us, pa.float64()), bs_us))
             return t.append_column(bcol, pc.cast(b, pa.int64()))
 
-        def sessionize(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(ts_col).reset_index(drop=True)
-            ts = pd.to_datetime(g[ts_col])
-            gaps = ts.diff().dt.total_seconds()
-            # first row: diff is NaN, and NaN > gap_s coerces to False —
-            # test isna() explicitly or the first session start is lost
-            new = gaps.isna() | (gaps > gap_s)
-            g[out] = ts.where(new).ffill()
-            return g
+        def sessionize(g: pa.Table) -> pa.Table:
+            # whole shard in one segmented scan: sort by (group, ts); a
+            # session starts on a group change or a gap > gap_s, and
+            # each row's start is the running max of start positions
+            ts = g.column(ts_col)
+            if not pa.types.is_timestamp(ts.type):
+                ts = pc.cast(ts, pa.timestamp("us"))
+            us = _epoch_us(ts).to_numpy(zero_copy_only=False)
+            codes = [group_codes(g.column(c)) for c in gkeys]
+            o = np.lexsort((us, *reversed(codes)))
+            new = np.ones(len(o), bool)
+            new[1:] = np.diff(us[o]) > gap_s * 1e6
+            for c in codes:
+                c = c[o]
+                new[1:] |= c[1:] != c[:-1]
+            pos = np.maximum.accumulate(
+                np.where(new, np.arange(len(o)), 0))
+            src = np.empty(len(o), np.int64)
+            src[o] = o[pos]
+            return g.append_column(out, ts.take(pa.array(src, pa.int64())))
 
         # COARSE shards of the (key, bucket) groups — one Ray callback
-        # per ~64th of the corpus instead of per group (billions of
-        # (key, bucket) pairs at scale); sessionize runs as plain
-        # pandas iteration inside each shard task
-        def with_shard(t: pa.Table) -> pa.Table:
-            from rayflow.ops.kernels import shard_codes
-
-            combo = pc.binary_join_element_wise(
-                *[pc.cast(t.column(c), pa.string()) for c in gkeys], "#")
-            return t.append_column(
-                "_sess_shard", pa.array(shard_codes(combo, 64), pa.int64()))
-
-        def sessionize_shard(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.drop(columns=["_sess_shard"])
-            outs = [sessionize(sub) for _, sub in
-                    g.groupby(gkeys, sort=False, dropna=False)]
-            # all-empty shard: emit the OUTPUT schema (sessionize on an
-            # empty slice), not a column-less frame
-            return (pd.concat(outs, ignore_index=True) if outs
-                    else sessionize(g.iloc[0:0]))
-
-        sessioned = (
-            ds.map_batches(with_bucket, **_PA_KW)
-            .map_batches(with_shard, **_PA_KW)
-            .groupby("_sess_shard").map_groups(sessionize_shard,
-                                               batch_format="pandas")
-            .materialize()
-        )
+        # per shard instead of per group (billions of (key, bucket)
+        # pairs at scale)
+        sessioned = shard_exchange(ds.map_batches(with_bucket, **_PA_KW),
+                                   gkeys, sessionize).materialize()
 
         # per-(key, bucket) summaries: batch partials -> driver combine
         # (a group never splits across map_groups output blocks, but a
@@ -369,6 +332,9 @@ def build_window_session(*, keys: list[str], ts_col: str, gap_s: float,
         parts = collect_table(
             sessioned.map_batches(summ_partial, batch_format="pandas")
         ).to_pandas()
+        if parts.empty:     # no events: no summaries, nothing to fold
+            parts = pd.DataFrame(columns=gkeys + ["_first_ts", "_last_ts",
+                                                  "_last_start"])
         sdf = parts.groupby(gkeys, as_index=False).agg(
             _first_ts=("_first_ts", "min"), _last_ts=("_last_ts", "max"),
             _last_start=("_last_start", "max")
@@ -419,7 +385,6 @@ def build_window_session(*, keys: list[str], ts_col: str, gap_s: float,
 @register_op("group_rank")
 def build_group_rank(*, key_col: str, order_col: str, out: str = "rn",
                      descending: bool = False,
-                     num_shards: int | None = None,
                      out_percent: str | None = None,
                      out_ntile: str | None = None, ntile: int = 4):
     """Per-key ``row_number()`` (1-based, ``OVER (PARTITION BY key
@@ -436,8 +401,6 @@ def build_group_rank(*, key_col: str, order_col: str, out: str = "rn",
     hand)."""
 
     def rank_shard(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
         codes = group_codes(g.column(key_col))
         order = g.column(order_col).to_numpy(zero_copy_only=False)
         if descending:
@@ -476,22 +439,14 @@ def build_group_rank(*, key_col: str, order_col: str, out: str = "rn",
             res = res.append_column(out_ntile,
                                     pa.array(tile.astype(np.int64),
                                              pa.int64()))
-        return res.drop_columns(["_gr_shard"])
+        return res
 
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_gr_shard", ns),
-                              **_PA_KW) \
-            .groupby("_gr_shard").map_groups(rank_shard,
-                                             batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds, key_col, rank_shard)
 
 
 @register_op("group_cumsum")
 def build_group_cumsum(*, key_col: str, order_col: str, value_col: str,
-                       out: str = "running",
-                       num_shards: int | None = None):
+                       out: str = "running"):
     """Per-key running sum (``SUM(v) OVER (PARTITION BY key ORDER BY
     order)`` with the default RANGE frame — ties share the frame total,
     matching SQL).  Same one-exchange coarse-shard shape as
@@ -499,8 +454,8 @@ def build_group_cumsum(*, key_col: str, order_col: str, value_col: str,
     vectorized pass (global cumsum minus each key run's start offset),
     with per-(key, order) tie groups collapsed to their last value."""
     def cumsum_shard(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
+        if g.num_rows == 0:
+            return g.append_column(out, pa.array([], pa.float64()))
         codes = group_codes(g.column(key_col))
         order = g.column(order_col).to_numpy(zero_copy_only=False)
         vals = g.column(value_col).to_numpy(
@@ -522,24 +477,14 @@ def build_group_cumsum(*, key_col: str, order_col: str, value_col: str,
         run = csum[tie_ends][tie_id] - base
         rn = np.empty(len(ks), np.float64)
         rn[o] = run
-        return g.append_column(out, pa.array(rn, pa.float64())) \
-                .drop_columns(["_gc_shard"])
-
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_gc_shard", ns),
-                              **_PA_KW) \
-            .groupby("_gc_shard").map_groups(cumsum_shard,
-                                             batch_format="pyarrow")
-
-    return apply
+        return g.append_column(out, pa.array(rn, pa.float64()))
+    return lambda ds: shard_exchange(ds, key_col, cumsum_shard)
 
 
 @register_op("group_lag")
 def build_group_lag(*, key_col: str, order_col: str,
                     value_col: str | None = None,
                     out: str = "lag", offset: int = 1,
-                    num_shards: int | None = None,
                     value_cols: list[str] | None = None,
                     outs: list[str] | None = None,
                     offsets: list[int] | None = None):
@@ -581,8 +526,6 @@ def build_group_lag(*, key_col: str, order_col: str,
                          "(positive = lag, negative = lead)")
 
     def lag_shard(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
         codes = group_codes(g.column(key_col))
         order = g.column(order_col).to_numpy(zero_copy_only=False)
         o = np.lexsort((order, codes))
@@ -605,22 +548,14 @@ def build_group_lag(*, key_col: str, order_col: str,
             lag_col = pc.if_else(valid, vals.take(safe),
                                  pa.scalar(None, vals.type))
             g = g.append_column(o_name, lag_col)
-        return g.drop_columns(["_gl_shard"])
+        return g
 
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_gl_shard", ns),
-                              **_PA_KW) \
-            .groupby("_gl_shard").map_groups(lag_shard,
-                                             batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds, key_col, lag_shard)
 
 
 @register_op("group_concat")
 def build_group_concat(*, key_col: str, order_col: str, value_col: str,
-                       out: str = "concat", sep: str = "\n",
-                       num_shards: int | None = None):
+                       out: str = "concat", sep: str = "\n"):
     """Per-key ORDERED string concatenation — SQL
     ``string_agg(value, sep ORDER BY order) GROUP BY key`` — the
     chat-template / document-assembly primitive for transcript
@@ -643,8 +578,6 @@ def build_group_concat(*, key_col: str, order_col: str, value_col: str,
     count (the shard concatenates all keys in one pass)."""
 
     def concat_shard(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
         vals = g.column(value_col).combine_chunks()
         mask = pc.is_valid(vals).to_numpy(zero_copy_only=False)
         if not mask.all():                      # SQL string_agg skips nulls
@@ -672,14 +605,7 @@ def build_group_concat(*, key_col: str, order_col: str, value_col: str,
             pa.array(o[starts] if len(ks) else [], pa.int64()))
         return pa.table({key_col: keys_out, out: joined})
 
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_gs_shard", ns),
-                              **_PA_KW) \
-            .groupby("_gs_shard").map_groups(concat_shard,
-                                             batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds, key_col, concat_shard)
 
 
 @register_op("scd2_history")
@@ -687,8 +613,7 @@ def build_scd2_history(*, keys: list[str], lsn_col: str = "lsn",
                        op_col: str = "op", delete_value: str = "delete",
                        valid_from: str = "valid_from",
                        valid_to: str = "valid_to",
-                       current_flag: str = "is_current",
-                       num_shards: int | None = None):
+                       current_flag: str = "is_current"):
     """Slowly-changing-dimension TYPE-2 materialization of a CDC change
     stream (the Debezium→lake pattern): every non-delete change becomes
     a VERSION row with a ``[valid_from, valid_to)`` LSN interval;
@@ -705,16 +630,12 @@ def build_scd2_history(*, keys: list[str], lsn_col: str = "lsn",
 
     def apply(ds):
         def addk(t: pa.Table) -> pa.Table:
-            parts = [pc.cast(t.column(k), pa.string()) for k in keys]
-            kk = parts[0] if len(parts) == 1 else \
-                pc.binary_join_element_wise(*parts, "\x1f")
-            return t.append_column("_scd2_key", kk)
+            return t.append_column("_scd2_key", shard_key(t, keys))
 
         ds = ds.map_batches(addk, **_PA_KW)
         ds = build_op({"op": "group_lag", "key_col": "_scd2_key",
                        "order_col": lsn_col, "value_col": lsn_col,
-                       "out": valid_to, "offset": -1,
-                       "num_shards": num_shards})(ds)
+                       "out": valid_to, "offset": -1})(ds)
 
         def fin(t: pa.Table) -> pa.Table:
             mask = pc.not_equal(
@@ -738,7 +659,6 @@ def build_scd2_history(*, keys: list[str], lsn_col: str = "lsn",
 def build_funnel(*, key_col: str, step_col: str, order_col: str,
                  steps: list, ts_outs: list[str] | None = None,
                  within: float | None = None,
-                 num_shards: int | None = None,
                  reached_out: str = "reached"):
     """Ordered-event funnel analysis (the product-analytics classic,
     here over agent transcripts: which conversations did tool A, then
@@ -764,8 +684,6 @@ def build_funnel(*, key_col: str, step_col: str, order_col: str,
     steps_str = pa.array([str(s) for s in steps], pa.string())
 
     def sweep(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
         n = g.num_rows
         kidx = group_codes(g.column(key_col))
         if (kidx < 0).any():      # null keys form one ordinary group
@@ -826,19 +744,11 @@ def build_funnel(*, key_col: str, step_col: str, order_col: str,
                                     pa.float64())
         return pa.table(cols)
 
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_fn_shard", ns),
-                              **_PA_KW) \
-            .groupby("_fn_shard").map_groups(sweep,
-                                             batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds, key_col, sweep)
 
 
 @register_op("interval_coalesce")
-def build_interval_coalesce(*, key_col: str, start_col: str,
-                            end_col: str, num_shards: int | None = None,
+def build_interval_coalesce(*, key_col: str, start_col: str, end_col: str,
                             agg_count: str = "n_merged"):
     """Gaps-and-islands: merge overlapping-or-touching ``[start, end]``
     intervals per key into maximal islands (the classic SQL pattern —
@@ -853,8 +763,6 @@ def build_interval_coalesce(*, key_col: str, start_col: str,
     loop."""
 
     def sweep(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
         n = g.num_rows
         if n == 0:
             return pa.table({
@@ -899,22 +807,14 @@ def build_interval_coalesce(*, key_col: str, start_col: str,
         }).cast(pa.schema([(key_col, key_type), (start_col, s_type),
                            (end_col, e_type), (agg_count, pa.int64())]))
 
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_ic_shard", ns),
-                              **_PA_KW) \
-            .groupby("_ic_shard").map_groups(sweep,
-                                             batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds, key_col, sweep)
 
 
 @register_op("group_moving_agg")
 def build_group_moving_agg(*, key_col: str, order_col: str,
                            value_col: str, window: int,
                            fns: list[str] = ("sum",),
-                           out_prefix: str | None = None,
-                           num_shards: int | None = None):
+                           out_prefix: str | None = None):
     """Per-key moving-window aggregates over the trailing ``window``
     rows (SQL ``ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW``):
     moving sum / mean / count — the rolling-average primitive.  Pass a
@@ -936,9 +836,6 @@ def build_group_moving_agg(*, key_col: str, order_col: str,
     pre = out_prefix or f"{value_col}_mov"
 
     def sweep(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
-        g = g.drop_columns(["_ma_shard"])
         n = g.num_rows
         kidx = group_codes(g.column(key_col))
         order = g.column(order_col).to_numpy(zero_copy_only=False)
@@ -982,19 +879,12 @@ def build_group_moving_agg(*, key_col: str, order_col: str,
                                  pa.float64()))
         return g
 
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_ma_shard", ns),
-                              **_PA_KW) \
-            .groupby("_ma_shard").map_groups(sweep,
-                                             batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds, key_col, sweep)
 
 
 @register_op("resample_ffill")
 def build_resample_ffill(*, key_col: str, ts_col: str, value_col: str,
-                         interval_s: float, num_shards: int | None = None,
+                         interval_s: float,
                          max_ticks_per_key: int = 1_000_000,
                          tick_out: str = "tick",
                          value_out: str | None = None):
@@ -1015,8 +905,6 @@ def build_resample_ffill(*, key_col: str, ts_col: str, value_col: str,
     vout = value_out or value_col
 
     def sweep(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
         n = g.num_rows
         kidx = group_codes(g.column(key_col))
         ts = pc.cast(pc.cast(g.column(ts_col), pa.timestamp("us")),
@@ -1061,20 +949,12 @@ def build_resample_ffill(*, key_col: str, ts_col: str, value_col: str,
             vout: g.column(value_col).take(idxs),
         })
 
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_rf_shard", ns),
-                              **_PA_KW) \
-            .groupby("_rf_shard").map_groups(sweep,
-                                             batch_format="pyarrow")
-
-    return apply
+    return lambda ds: shard_exchange(ds, key_col, sweep)
 
 
 @register_op("ewma")
 def build_ewma(*, key_col: str, order_col: str, value_col: str,
-               alpha: float, out: str = "ewma",
-               num_shards: int | None = None):
+               alpha: float, out: str = "ewma"):
     """Per-key exponentially-weighted moving average over an ordered
     column (pandas ``ewm(alpha, adjust=False)`` semantics: ``y_0 =
     x_0``, ``y_i = α·x_i + (1−α)·y_{i−1}``) — the time-series smoother
@@ -1086,7 +966,9 @@ def build_ewma(*, key_col: str, order_col: str, value_col: str,
     and carry ``c``, processed in blocks sized so ``(1−α)^{−(B−1)}``
     stays finite — no per-row Python, no overflow at any α, and terms
     that fall below float range are exactly the ones EWMA has already
-    decayed to nothing."""
+    decayed to nothing.  The recurrence is linear, so each run is
+    evaluated on ``x / max|x|`` and scaled back: ``blk · inv`` then
+    stays below ``1e300`` whatever the magnitude of the values."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("ewma: alpha must be in (0, 1]")
     beta = 1.0 - alpha
@@ -1097,6 +979,8 @@ def build_ewma(*, key_col: str, order_col: str, value_col: str,
     def _run_ewma(x: np.ndarray) -> np.ndarray:
         if beta == 0.0:
             return x.copy()
+        scale = np.max(np.abs(x), initial=0.0, where=np.isfinite(x)) or 1.0
+        x = x / scale
         y = np.empty_like(x)
         y[0] = x[0]
         c = x[0]
@@ -1110,11 +994,9 @@ def build_ewma(*, key_col: str, order_col: str, value_col: str,
             y[i:i + m] = yb
             c = yb[-1]
             i += m
-        return y
+        return y * scale
 
     def shard(g: pa.Table) -> pa.Table:
-        from rayflow.ops.kernels import group_codes
-
         codes = group_codes(g.column(key_col))
         order = g.column(order_col).to_numpy(zero_copy_only=False)
         vals = g.column(value_col).to_numpy(
@@ -1122,20 +1004,12 @@ def build_ewma(*, key_col: str, order_col: str, value_col: str,
         o = np.lexsort((order, codes))
         ks, vs = codes[o], vals[o]
         res = np.empty(len(ks), np.float64)
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
+        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1]))) \
+            if len(ks) else np.zeros(0, np.int64)
         ends = np.append(starts[1:], len(ks))
         for s_i, e_i in zip(starts, ends):
             res[s_i:e_i] = _run_ewma(vs[s_i:e_i])
         outv = np.empty(len(ks), np.float64)
         outv[o] = res
-        return g.append_column(out, pa.array(outv, pa.float64())) \
-                .drop_columns(["_ew_shard"])
-
-    def apply(ds):
-        ns, ds = _resolve_shards(ds, num_shards)
-        return ds.map_batches(_shard_fn(key_col, "_ew_shard", ns),
-                              **_PA_KW) \
-            .groupby("_ew_shard").map_groups(shard,
-                                             batch_format="pyarrow")
-
-    return apply
+        return g.append_column(out, pa.array(outv, pa.float64()))
+    return lambda ds: shard_exchange(ds, key_col, shard)

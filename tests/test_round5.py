@@ -194,7 +194,7 @@ def test_asof_shuffle_matches_merge_asof_randomized(ray_session):
     for direction in ("backward", "forward"):
         out = build_op({"op": "asof_join", "right": _ds(right), "on": "k",
                         "time_col": "t", "direction": direction,
-                        "strategy": "shuffle", "num_shards": 8})(
+                        "strategy": "shuffle"})(
             _ds(left)).to_pandas() \
             .sort_values(["k", "t", "lv"], ignore_index=True)
         ref_parts = []
@@ -229,7 +229,7 @@ def test_interval_join_interval_heavy_key(ray_session):
         "t": np.arange(500, dtype=np.int64) * 200 + 2})
     out = build_op({"op": "interval_join", "right": _ds(right),
                     "on": "k", "time_col": "t", "start_col": "s",
-                    "end_col": "e", "num_shards": 4})(
+                    "end_col": "e"})(
         _ds(left)).to_pandas()
     # each left t = 200*i + 2 lands in exactly one interval [200i, 200i+4]
     assert len(out) == 500
@@ -784,6 +784,35 @@ def test_config_test_runner(ray_session):
     assert "mismatch" in res[3]["detail"]
 
 
+def test_config_test_runner_columns_checked_on_empty_output(ray_session):
+    # every row filtered out: the columns come from the output schema,
+    # so a wrong expectation still fails
+    from rayflow.testkit import run_config_tests
+
+    doc = {
+        "pipeline": {"steps": [
+            {"op": "filter",
+             "predicate": ["ge", ["col", "x"], ["lit", 100]]},
+        ]},
+        "cases": [
+            {"name": "right columns", "input": [{"x": 1}, {"x": 5}],
+             "expect": {"count": 0, "columns": ["x"]}},
+            {"name": "wrong columns", "input": [{"x": 1}, {"x": 5}],
+             "expect": {"count": 0, "columns": ["x", "y"]}},
+        ],
+    }
+    res = run_config_tests(doc)
+    assert [r["ok"] for r in res] == [True, False], res
+    assert "columns" in res[1]["detail"]
+    # a step after the filter never sees a batch, so Ray keeps no
+    # schema: the check reports that instead of passing
+    doc["pipeline"]["steps"].append(
+        {"op": "mapping", "cols": {"y": ["mul", ["col", "x"], ["lit", 2]]}})
+    res = run_config_tests(doc)
+    assert [r["ok"] for r in res] == [False, False], res
+    assert "unknown" in res[0]["detail"]
+
+
 def test_config_test_runner_approx_and_error(ray_session):
     from rayflow.testkit import run_config_tests
 
@@ -942,6 +971,25 @@ def test_ewma_matches_pandas_ewm(ray_session):
         ref = df.sort_values("t").groupby("k")["v"].transform(
             lambda s: s.ewm(alpha=alpha, adjust=False).mean()).to_numpy()
         assert np.abs(out["ewma"].to_numpy() - ref).max() < 1e-10, alpha
+
+
+def test_ewma_large_values_stay_finite(ray_session):
+    # |x| ~ 1e12 at alpha 0.9: the block factor beta^-(B-1) reaches
+    # ~1e298, so an unscaled run overflows to inf
+    rng = np.random.default_rng(11)
+    df = pd.DataFrame({
+        "k": np.repeat(["a", "b"], 1000),
+        "t": np.arange(2000, dtype=np.int64),
+        "v": 1e12 * (1.0 + rng.random(2000))})
+    for alpha in (0.9, 0.01):
+        out = build_op({"op": "ewma", "key_col": "k", "order_col": "t",
+                        "value_col": "v", "alpha": alpha})(
+            _ds(df)).to_pandas().sort_values("t").reset_index(drop=True)
+        ref = df.groupby("k")["v"].transform(
+            lambda s: s.ewm(alpha=alpha, adjust=False).mean()).to_numpy()
+        got = out["ewma"].to_numpy()
+        assert np.isfinite(got).all(), alpha
+        np.testing.assert_allclose(got, ref, rtol=1e-9, err_msg=str(alpha))
 
 
 def test_ewma_rejects_bad_alpha(ray_session):
