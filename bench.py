@@ -32,7 +32,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 SF_TAG = os.path.basename(SF_DIR.rstrip("/"))
 
 # change-log spec sized from the sf tier (lineitem ≈ 6M rows/sf →

@@ -16,8 +16,9 @@ Planes (mirroring the reference's component planes, SURVEY.md §2):
   (``internal/checkpoint/``, ``internal/batch/policy/`` semantics rebuilt)
 
 Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines,
-``map_batches`` over zero-copy Arrow batches, actor pools for stateful
-stages.  Library code never calls ``ray.init()``.
+``map_batches`` tasks over zero-copy Arrow batches, with a stateful
+stage's state kept once per worker process.  Library code never calls
+``ray.init()``.
 """
 
 __version__ = "0.1.0"

@@ -75,8 +75,9 @@ class NormalizeChanges:
     Casts every batch to the band's unified change schema (schema
     evolution happens here for the in-flight stream), validates the
     envelope (known op, non-null keys/lsn — invalid rows are dropped and
-    counted in ``_invalid`` metadata, the dead-letter hook), runs the
-    per-block partial LWW reduce, and attaches the salted partition id.
+    counted in :attr:`n_invalid`, which replay records per commit as the
+    lineage field ``n_invalid``), runs the per-block partial LWW reduce,
+    and attaches the salted partition id.
     """
 
     def __init__(self, schema: pa.Schema, num_partitions: int,
@@ -84,6 +85,7 @@ class NormalizeChanges:
         self.schema = schema
         self.num_partitions = num_partitions
         self.salts = salts or {}
+        self.n_invalid = 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         tbl = conform(batch, self.schema)
@@ -96,6 +98,7 @@ class NormalizeChanges:
         )
         if not pc.all(valid).as_py():
             tbl = tbl.filter(valid)
+            self.n_invalid += len(valid) - tbl.num_rows
         tbl = lww_reduce(tbl)
         part = compute_part_ids(
             tbl["conv_id"], tbl["turn_idx"], self.num_partitions, self.salts

@@ -108,9 +108,12 @@ def plan_salts(
 
     import ray
 
+    # materialize first: on a lazy Dataset, to_arrow_refs() runs the plan
+    # a second time (limit 1) to learn its schema, and cancelling that
+    # run has crashed Ray 2.49's reference counter (CHANGES.md)
     refs = sample.map_batches(
         _block_counts, batch_format="pyarrow", zero_copy_batch=True
-    ).to_arrow_refs()
+    ).materialize().to_arrow_refs()
     tables = [t for t in ray.get(refs) if t.num_rows > 0]
     if not tables:
         return {}

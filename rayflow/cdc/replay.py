@@ -60,23 +60,19 @@ class CdcEngine:
 
     ``num_partitions`` bounds per-partition merge state (size it so one
     partition's latest-version rows fit a worker's heap at target scale:
-    P ≈ total_keys × row_bytes / partition_budget).  ``merge_concurrency``
-    caps :meth:`repartition`'s partition writers; leave headroom for the
-    read/route stage so the streaming executor can pipeline (SURVEY.md §4).
+    P ≈ total_keys × row_bytes / partition_budget).
     """
 
     def __init__(
         self,
         lake_dir: str,
         num_partitions: int = 32,
-        merge_concurrency: int | None = None,
         auto_salt: bool = True,
         salt_sample_fraction: float = 0.05,
         seed: int = 42,
     ):
         self.lake_dir = lake_dir
         self.num_partitions = num_partitions
-        self.merge_concurrency = merge_concurrency
         self.auto_salt = auto_salt
         self.salt_sample_fraction = salt_sample_fraction
         self.seed = seed
@@ -176,6 +172,7 @@ class CdcEngine:
                     f.split("/")[-2] + "/" + f.split("/")[-1] for f in files
                 ],
                 "n_events": n_raw,
+                "n_invalid": normalize.n_invalid,
                 "n_partitions_touched": len(part_stats),
                 "rows_after": int(sum(r["rows"] for r in part_stats)),
                 # per-partition lineage: what this band did to each
@@ -192,25 +189,6 @@ class CdcEngine:
                 "wall_s": round(wall, 4),
                 "events_per_s": round(n_raw / wall, 1) if wall > 0 else None,
             }
-            # per-component metrics (the reference's operational
-            # bread-and-butter): push this band's engine counters
-            # into the shared metrics resource and snapshot it into
-            # the lineage record, so `metric` steps in user
-            # pipelines land in the same per-band audit trail
-            try:
-                import ray as _ray
-
-                from rayflow.state import get_metrics
-
-                handle = get_metrics("default")
-                _ray.get(handle.incr.remote({
-                    "replay.events": float(n_raw),
-                    "replay.bands": float(len(group)),
-                    "replay.wall_s": wall,
-                }))
-                lineage["metrics"] = _ray.get(handle.snapshot.remote())
-            except Exception:  # metrics are advisory, never fatal
-                lineage["metrics"] = None
             self.manifest.commit_band(
                 band_hi=group_hi,
                 schema=step_schema,
@@ -357,10 +335,10 @@ class CdcEngine:
         that produced them); ``resalt`` re-measures hot conversations
         from the live turn counts.  Returns new partitions written.
         """
-        import ray
         import ray.data as rd
 
         from rayflow.cdc.partitioner import compute_part_ids
+        from rayflow.ops.kernels import shard_exchange
         from rayflow.schema import conform as _conform
 
         if new_num_partitions < 1:
@@ -401,19 +379,18 @@ class CdcEngine:
             pid = compute_part_ids(t["conv_id"], t["turn_idx"], new_p, salts)
             return t.append_column(PART_COL, pa.array(pid, pa.int32()))
 
-        class _WritePart:
-            """Write one new partition's state file; emit a stats row.
+        def write_parts(shard: pa.Table) -> pa.Table:
+            """Write each new partition of one shard to its state file;
+            emit one stats row per partition.  The path is a pure
+            function of ``(pid, hi, new_p)``, so retried tasks converge —
+            the idempotence contract of merge state files."""
+            import pyarrow.compute as pc
+            import pyarrow.parquet as _pq
 
-            Path is a pure function of ``(pid, hi, new_p)`` so retried
-            tasks converge — the same idempotence contract as merge
-            state files."""
-
-            def __call__(self, group: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-                import pyarrow.parquet as _pq
-
-                pid = int(group[PART_COL][0].as_py())
-                t = group.drop_columns([PART_COL])
+            pids, paths, rows = [], [], []
+            for pid in pc.unique(shard[PART_COL]).to_pylist():
+                t = shard.filter(pc.equal(shard[PART_COL], pid)) \
+                    .drop_columns([PART_COL])
                 t = t.take(pc.sort_indices(
                     t, sort_keys=[("conv_id", "ascending"),
                                   ("turn_idx", "ascending")]))
@@ -424,24 +401,19 @@ class CdcEngine:
                 tmp = final + f".tmp.{os.getpid()}"
                 _pq.write_table(t, tmp)
                 os.replace(tmp, final)
-                return pa.table({
-                    "part_id": pa.array([pid], pa.int32()),
-                    "rows": pa.array([t.num_rows], pa.int64()),
-                    "file": pa.array([final], pa.string()),
-                })
+                pids.append(pid)
+                paths.append(final)
+                rows.append(t.num_rows)
+            return pa.table({
+                "part_id": pa.array(pids, pa.int32()),
+                "rows": pa.array(rows, pa.int64()),
+                "file": pa.array(paths, pa.string()),
+            })
 
-        merge_conc = self.merge_concurrency or max(
-            1, min(new_p, int(ray.cluster_resources().get("CPU", 8)) - 2, 16))
-        # the one keyed exchange of the CDC code: the default pull-based
-        # sort shuffle was measured 3-4x slower on wide inputs at sf0.1
-        from rayflow.ops import prefer_push_shuffle
-
-        prefer_push_shuffle()
         routed = rd.read_parquet(files).map_batches(
             _route, batch_format="pyarrow", zero_copy_batch=True)
-        part_stats = routed.groupby(PART_COL).map_groups(
-            _WritePart, batch_format="pyarrow", concurrency=merge_conc,
-            num_cpus=1).take_all()  # ≤ new_p tiny stats rows
+        # ≤ new_p tiny stats rows
+        part_stats = shard_exchange(routed, PART_COL, write_parts).take_all()
 
         self.manifest.state["partitions"] = {
             str(int(r["part_id"])): {
@@ -613,6 +585,7 @@ class CdcEngine:
                 "lsn_hi": ln.get("lsn_hi"),
                 "n_bands": len(ln.get("band_ids", []) or []),
                 "n_events": ln.get("n_events"),
+                "n_invalid": ln.get("n_invalid"),
                 "n_partitions_touched": (
                     ln.get("n_partitions_touched")
                     if not ln.get("compaction") else ln.get("n_partitions")),
@@ -624,7 +597,7 @@ class CdcEngine:
             ("commit_idx", pa.int32()), ("kind", pa.string()),
             ("lsn_lo", pa.int64()), ("lsn_hi", pa.int64()),
             ("n_bands", pa.int32()), ("n_events", pa.int64()),
-            ("n_partitions_touched", pa.int32()),
+            ("n_invalid", pa.int64()), ("n_partitions_touched", pa.int32()),
             ("rows_after", pa.int64()), ("wall_s", pa.float64()),
             ("events_per_s", pa.float64()),
         ])

@@ -126,59 +126,19 @@ class _MergeActorImpl:
 
 
 class MergePool:
-    """Driver-side handle on a merge-actor pool.
+    """Driver-side handle on a merge-actor pool.  Actors are scheduled
+    with ``"SPREAD"``: one merge actor per node before doubling up, so
+    routing-task → actor traffic fans across the cluster's object stores
+    instead of hammering one node's."""
 
-    ``placement`` is the multi-node locality knob (a no-op on one node,
-    exercised there only for API validity):
-
-    - ``"spread"`` (default): ``scheduling_strategy="SPREAD"`` — one
-      merge actor per node before doubling up, so routing-task →
-      actor traffic fans across the cluster's object stores instead
-      of hammering one node's.
-    - ``"group_spread"`` / ``"group_pack"``: reserve a placement group
-      (1 CPU per actor) with the STRICT_SPREAD-like ``"SPREAD"`` or
-      ``"PACK"`` strategy and pin actors into its bundles — use pack
-      when the change stream is small and cross-node RPC dominates,
-      spread when merge state is large.  The pool owns the group and
-      removes it on shutdown.
-    - ``"default"``: Ray's default locality-aware scheduling.
-    """
-
-    def __init__(self, num_actors: int, compact_rows: int = 500_000,
-                 placement: str = "spread"):
+    def __init__(self, num_actors: int, compact_rows: int = 500_000):
         import ray
 
-        if placement not in ("spread", "group_spread", "group_pack", "default"):
-            raise ValueError(f"unknown placement {placement!r}")
         self.num_actors = num_actors
-        self._pg = None
-        actor_cls = ray.remote(num_cpus=1)(_MergeActorImpl)
-
-        def opts(i: int):
-            if placement == "spread":
-                return {"scheduling_strategy": "SPREAD"}
-            if placement in ("group_spread", "group_pack"):
-                if self._pg is None:
-                    from ray.util.placement_group import placement_group
-
-                    self._pg = placement_group(
-                        [{"CPU": 1}] * num_actors,
-                        strategy=placement.split("_")[1].upper())
-                    ray.get(self._pg.ready())
-                from ray.util.scheduling_strategies import (
-                    PlacementGroupSchedulingStrategy,
-                )
-
-                return {"scheduling_strategy":
-                        PlacementGroupSchedulingStrategy(
-                            placement_group=self._pg,
-                            placement_group_bundle_index=i)}
-            return {}
-
-        self.actors = [
-            actor_cls.options(**opts(i)).remote(i, num_actors, compact_rows)
-            for i in range(num_actors)
-        ]
+        actor_cls = ray.remote(num_cpus=1)(_MergeActorImpl).options(
+            scheduling_strategy="SPREAD")
+        self.actors = [actor_cls.remote(i, num_actors, compact_rows)
+                       for i in range(num_actors)]
 
     def flush(self, lake_dir: str, base_files: dict[int, str],
               band_hi: int) -> list[dict]:
@@ -195,11 +155,6 @@ class MergePool:
         for a in self.actors:
             ray.kill(a)
         self.actors = []
-        if self._pg is not None:
-            from ray.util.placement_group import remove_placement_group
-
-            remove_placement_group(self._pg)
-            self._pg = None
 
 
 class RouteToPool:

@@ -265,7 +265,7 @@ class TumblingWindowView:
             snap = self.engine.snapshot_dataset(self.applied_lsn)
 
             def old_partials(t: pa.Table) -> pa.Table:
-                from rayflow.ops.joins import _fetch
+                from rayflow.ops.kernels import _fetch
 
                 keyset = _fetch(aff_ref, lambda v: v)
                 c = pc.binary_join_element_wise(

@@ -583,11 +583,12 @@ def read_until(make_ds, predicate, max_iters: int = 1000):
 
 @register_op("cached_mapping")
 def build_cached_mapping(*, key_expr: Any, fn_name: str, out: str,
-                         max_items: int = 100_000, concurrency: int = 2):
+                         max_items: int = 100_000):
     """Memoized scalar application (the ``cached`` processor): apply a
     registered scalar function only to key values not seen before by
-    this actor; per-actor LRU persists across batches.  Worthwhile when
-    the function is expensive (hashes, parses) and keys repeat."""
+    this worker process; the per-process LRU persists across batches.
+    Worthwhile when the function is expensive (hashes, parses) and keys
+    repeat."""
     kex = key_expr if isinstance(key_expr, E.Expr) else E.parse(key_expr)
 
     class CachedApply:
@@ -610,10 +611,10 @@ def build_cached_mapping(*, key_expr: Any, fn_name: str, out: str,
             return t.append_column(out, pa.array(vals))
 
     def apply(ds):
-        return ds.map_batches(
-            CachedApply, concurrency=concurrency, batch_format="pyarrow",
-            zero_copy_batch=True, num_cpus=1,
-        )
+        from rayflow.ops.kernels import per_process
+
+        return ds.map_batches(per_process(CachedApply),
+                              batch_format="pyarrow", zero_copy_batch=True)
 
     return apply
 

@@ -19,14 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rayflow.ops import register_op
-from rayflow.ops.joins import _fetch
-
-
-def _clamped(c: int) -> int:
-    from rayflow.ops.kernels import clamp_actor_concurrency
-
-    return clamp_actor_concurrency(c)
-
+from rayflow.ops.kernels import _fetch, per_process
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
 
@@ -198,7 +191,8 @@ def _hamming_probe_sets(buckets: np.ndarray, n_planes: int,
 
 
 class LshIndexStage:
-    """Actor stage: hyperplanes drawn once per actor from a fixed seed."""
+    """Bucket stage: hyperplanes drawn once per instance from a fixed
+    seed (one instance per worker process, :func:`per_process`)."""
 
     def __init__(self, dim: int, n_planes: int = 12, seed: int = 42,
                  vec_col: str = "embedding"):
@@ -221,7 +215,6 @@ class LshIndexStage:
 def build_ann_lsh(*, queries, query_ids, k: int = 10, dim: int = 64,
                   n_planes: int = 10, seed: int = 42,
                   vec_col: str = "embedding", id_col: str = "vec_id",
-                  concurrency: int = 2,
                   index_above_bytes: int | None = 256 << 20,
                   index_path: str | None = None,
                   hamming_probes: int = 1):
@@ -295,16 +288,12 @@ def build_ann_lsh(*, queries, query_ids, k: int = 10, dim: int = 64,
                 if not os.path.exists(os.path.join(path, "meta.json")):
                     LshIndex.build(ds, path, dim=dim, n_planes=n_planes,
                                    seed=seed, vec_col=vec_col,
-                                   id_col=id_col, concurrency=concurrency)
+                                   id_col=id_col)
                 return LshIndex(path).probe(queries, query_ids, k=k,
                                             hamming_probes=hamming_probes)
         indexed = ds.map_batches(
-            LshIndexStage,
-            fn_constructor_kwargs=dict(dim=dim, n_planes=n_planes, seed=seed,
-                                       vec_col=vec_col),
-            concurrency=_clamped(concurrency), batch_format="pyarrow",
-            zero_copy_batch=True, num_cpus=1,
-        )
+            per_process(LshIndexStage, dim, n_planes, seed, vec_col),
+            **_PA_KW)
         partials = indexed.map_batches(bucket_topk, **_PA_KW)
         return finalize_topk(partials, id_col=id_col, k=k)
 
@@ -331,7 +320,7 @@ class LshIndex:
     @classmethod
     def build(cls, ds, path: str, *, dim: int, n_planes: int = 8,
               seed: int = 42, vec_col: str = "embedding",
-              id_col: str = "vec_id", concurrency: int = 2) -> "LshIndex":
+              id_col: str = "vec_id") -> "LshIndex":
         import json
         import os
 
@@ -427,7 +416,7 @@ class LshIndex:
 def build_embedding_near_dup(*, threshold: float = 0.9, dim: int = 64,
                              n_planes: int = 10, seed: int = 42,
                              vec_col: str = "embedding", id_col: str = "vec_id",
-                             concurrency: int = 2, max_bucket: int = 4096,
+                             max_bucket: int = 4096,
                              max_split_depth: int = 16):
     """Embedding-cosine near-duplicate pairs: LSH-bucket the corpus
     (random hyperplanes, fixed seed), compute exact pairwise cosine only
@@ -443,12 +432,8 @@ def build_embedding_near_dup(*, threshold: float = 0.9, dim: int = 64,
         import pandas as pd
 
         indexed = ds.map_batches(
-            LshIndexStage,
-            fn_constructor_kwargs=dict(dim=dim, n_planes=n_planes, seed=seed,
-                                       vec_col=vec_col),
-            concurrency=_clamped(concurrency), batch_format="pyarrow",
-            zero_copy_batch=True, num_cpus=1,
-        )
+            per_process(LshIndexStage, dim, n_planes, seed, vec_col),
+            **_PA_KW)
 
         # unit vectors a,b with cos(a,b) >= t satisfy |a-b| <= sqrt(2-2t);
         # a unit hyperplane can only separate them if their projections
@@ -639,7 +624,8 @@ def build_kmeans(*, n_clusters: int = 8, n_iter: int = 0,
 
 
 class IvfAssignStage:
-    """Actor stage: centroids fetched once per actor (broadcast ref)."""
+    """List-assignment stage: centroids fetched once per worker process
+    (broadcast ref)."""
 
     def __init__(self, centroids_ref, vec_col: str = "embedding"):
         self.centroids = _fetch(centroids_ref, lambda v: v)
@@ -674,7 +660,7 @@ class IvfIndex:
     @classmethod
     def build(cls, ds, path: str, *, train_sample, n_clusters: int = 32,
               seed: int = 42, vec_col: str = "embedding",
-              id_col: str = "vec_id", concurrency: int = 2) -> "IvfIndex":
+              id_col: str = "vec_id") -> "IvfIndex":
         import json
         import os
 
@@ -784,7 +770,6 @@ def build_ann_ivf_probe_stage(q, qids, q_lists, *, k: int,
 def build_ann_ivf(*, queries, query_ids, k: int = 10, n_clusters: int = 32,
                   nprobe: int = 4, seed: int = 42, train_sample: np.ndarray | None = None,
                   vec_col: str = "embedding", id_col: str = "vec_id",
-                  concurrency: int = 2,
                   index_above_bytes: int | None = 256 << 20,
                   index_path: str | None = None):
     """IVF approximate top-k: k-means coarse quantizer assigns every
@@ -863,16 +848,11 @@ def build_ann_ivf(*, queries, query_ids, k: int = 10, n_clusters: int = 32,
                 if not os.path.exists(os.path.join(path, "meta.json")):
                     IvfIndex.build(ds, path, train_sample=train,
                                    n_clusters=n_clusters, seed=seed,
-                                   vec_col=vec_col, id_col=id_col,
-                                   concurrency=concurrency)
+                                   vec_col=vec_col, id_col=id_col)
                 return IvfIndex(path).probe(queries, query_ids, k=k,
                                             nprobe=nprobe)
         indexed = ds.map_batches(
-            IvfAssignStage,
-            fn_constructor_kwargs=dict(centroids_ref=cent_ref, vec_col=vec_col),
-            concurrency=_clamped(concurrency), batch_format="pyarrow",
-            zero_copy_batch=True, num_cpus=1,
-        )
+            per_process(IvfAssignStage, cent_ref, vec_col), **_PA_KW)
         partials = indexed.map_batches(probe_topk, **_PA_KW)
         return partials.groupby("query_id").map_groups(
             final_topk, batch_format="pandas"
@@ -1037,15 +1017,14 @@ def _pq_encode(x: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
 @register_op("pq_encode")
 def build_pq_encode(*, train_sample, m_sub: int = 8, k_sub: int = 256,
                     seed: int = 42, vec_col: str = "embedding",
-                    id_col: str = "vec_id", out: str = "pq_code",
-                    concurrency: int = 2):
+                    id_col: str = "vec_id", out: str = "pq_code"):
     """Materialize the PQ index artifact: append a ``fixed_size_binary
     (m_sub)`` code column — m_sub BYTES per vector versus 8·d for the
     raw float64 list (a 64× compression at d=64, m_sub=8), the form a
     100 TB embedding corpus actually stores for first-pass retrieval.
     Codebooks train once on the driver from ``train_sample`` (seeded,
-    tiny) and broadcast via ``ray.put``; encoding is an actor-pool
-    stage (codebooks fetched once per actor)."""
+    tiny) and broadcast via ``ray.put``; encoding runs as plain tasks
+    (codebooks fetched once per worker process)."""
     import ray
 
     if k_sub > 256:
@@ -1070,8 +1049,7 @@ def build_pq_encode(*, train_sample, m_sub: int = 8, k_sub: int = 256,
                               pa.binary(codes.shape[1])))
 
     def apply(ds):
-        return ds.map_batches(Encode, concurrency=_clamped(concurrency),
-                              **_PA_KW)
+        return ds.map_batches(per_process(Encode), **_PA_KW)
 
     return apply
 
@@ -1198,8 +1176,8 @@ class IvfPqIndex:
     @classmethod
     def build(cls, ds, path: str, *, train_sample, n_clusters: int = 32,
               m_sub: int = 8, k_sub: int = 256, seed: int = 42,
-              vec_col: str = "embedding", id_col: str = "vec_id",
-              concurrency: int = 2) -> "IvfPqIndex":
+              vec_col: str = "embedding",
+              id_col: str = "vec_id") -> "IvfPqIndex":
         import json
         import os
 
@@ -1225,10 +1203,8 @@ class IvfPqIndex:
                 .append_column("part", pa.array(lists, pa.int64()))
 
         os.makedirs(path, exist_ok=True)
-        ds.map_batches(assign_encode,
-                       concurrency=_clamped(concurrency), **_PA_KW) \
-            .write_parquet(os.path.join(path, "corpus"),
-                           partition_cols=["part"])
+        ds.map_batches(assign_encode, **_PA_KW).write_parquet(
+            os.path.join(path, "corpus"), partition_cols=["part"])
         np.save(os.path.join(path, "centroids.npy"), centroids)
         np.save(os.path.join(path, "codebooks.npy"), codebooks)
         with open(os.path.join(path, "meta.json"), "w") as f:

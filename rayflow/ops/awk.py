@@ -20,7 +20,7 @@ Execution model — the honest scale adjudication: a program is
 classified STATELESS (only field refs, regexes, per-row prints) or
 STATEFUL (uses ``NR``, ``END``, arrays, or assigns a variable that
 outlives a row).  Stateless programs run as a parallel
-``map_batches`` stage, one compiled program per actor.  Stateful
+``map_batches`` stage, one compiled program per task.  Stateful
 programs are inherently one sequential pass — exactly what ``awk``
 itself is — and run as an ordered driver-side stream over
 ``iter_batches`` (bounded memory: only printed lines accumulate per

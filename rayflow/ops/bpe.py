@@ -16,7 +16,7 @@ corpus never drives):
   again after the one counting pass.
 - ``bpe_encode``: merges are ``ray.put`` once and fetched once per
   worker process; each batch splits to words, encodes only the
-  ``np.unique`` word set (per-actor cache carries across batches),
+  ``np.unique`` word set (the per-process cache carries across batches),
   and scatters token counts back per row.
 """
 
@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rayflow.ops import register_op
-from rayflow.ops.joins import _fetch
+from rayflow.ops.kernels import _fetch, per_process
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
 
@@ -188,8 +188,9 @@ def build_bpe_train(*, column: str = "text", n_merges: int = 1000,
 
 
 class BpeEncodeStage:
-    """Actor stage: merge ranks fetched once per actor; word→tokens
-    cache persists across batches (Zipf makes the hit rate high)."""
+    """Encode stage: merge ranks fetched once per instance, and the
+    word→tokens cache persists across batches (Zipf makes the hit rate
+    high).  One instance per worker process (:func:`per_process`)."""
 
     def __init__(self, merges_ref, column: str, out: str,
                  emit_tokens: bool, lowercase: bool):
@@ -237,7 +238,7 @@ class BpeEncodeStage:
 @register_op("bpe_encode")
 def build_bpe_encode(*, merges, column: str = "text",
                      out: str = "n_bpe_tokens", emit_tokens: bool = False,
-                     lowercase: bool = False, concurrency: int = 2):
+                     lowercase: bool = False):
     """Apply learned BPE merges: appends the true token count per row
     (``out``), plus the token list itself when ``emit_tokens`` (costs
     list<string> payload — leave off for counting pipelines).
@@ -254,12 +255,9 @@ def build_bpe_encode(*, merges, column: str = "text",
 
     def apply(ds):
         return ds.map_batches(
-            BpeEncodeStage,
-            fn_constructor_kwargs=dict(
-                merges_ref=merges_ref, column=column, out=out,
-                emit_tokens=emit_tokens, lowercase=lowercase),
-            concurrency=concurrency, batch_format="pyarrow",
-            zero_copy_batch=True, num_cpus=1,
+            per_process(BpeEncodeStage, merges_ref, column, out,
+                        emit_tokens, lowercase),
+            batch_format="pyarrow", zero_copy_batch=True,
         )
 
     return apply

@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rayflow.ops import register_op
-from rayflow.ops.joins import _fetch
+from rayflow.ops.kernels import _fetch
 from rayflow.ops.kernels import shard_exchange
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)

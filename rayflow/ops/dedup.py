@@ -484,7 +484,7 @@ def verify_candidate_pairs(ds, raw_pairs, *, threshold: float,
     import ray
     import ray.data as rd
 
-    from rayflow.ops.joins import _fetch
+    from rayflow.ops.kernels import _fetch
 
     n_raw = raw_pairs.count()
     if n_raw == 0:
@@ -561,11 +561,9 @@ def verify_candidate_pairs(ds, raw_pairs, *, threshold: float,
         def verify_bcast(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:
                 return _empty_pairs()
-            from rayflow.ops.joins import _BCAST_CACHE
+            from rayflow.ops.kernels import memo
 
-            if key not in _BCAST_CACHE:
-                _BCAST_CACHE[key] = build_index(None)
-            idx = _BCAST_CACHE[key]
+            idx = memo(key, lambda: build_index(None))
             a_ids = t["doc_a"].to_pylist()
             b_ids = t["doc_b"].to_pylist()
             empty = b""
@@ -780,7 +778,7 @@ def build_ngram_jaccard(*, threshold: float = 0.7, shingle_k: int = 3,
                 # shingles are df=1 (the rarest — lookup misses sort
                 # first); df clipped to 20 bits for the packed key,
                 # which keeps the total order FIXED across docs
-                from rayflow.ops.joins import _fetch
+                from rayflow.ops.kernels import _fetch
 
                 dk, dv = _fetch(df_ref, lambda v: v)
                 if len(dk):
@@ -1233,7 +1231,7 @@ def build_connected_components(*, edges, node_a: str = "doc_a",
     """
     import ray
 
-    from rayflow.ops.joins import _fetch
+    from rayflow.ops.kernels import _fetch
 
     def apply_propagate(ds):
         import ray.data as rd
@@ -1573,7 +1571,7 @@ def build_dedup_against(*, ref, text_col: str = "text",
     """
     import hashlib
 
-    from rayflow.ops.joins import _fetch
+    from rayflow.ops.kernels import _fetch
 
     rcol = ref_text_col or text_col
     DG = "__dg"
@@ -2028,10 +2026,20 @@ def build_dup_span_remove(*, k_tokens: int = 50, text_col: str = "text",
     a fixpoint — rerun to convergence if required."""
 
     def apply(ds):
+        import ray.data as rd
+
         from rayflow.ops import build_op, prefer_push_shuffle
 
         prefer_push_shuffle()
         ds = ds.materialize()
+        if ds.count() == 0:
+            # no spans to cut: the input schema plus the count column
+            # (the exchanges below would leave blocks without columns)
+            sch = ds.schema()
+            if sch is None:
+                return ds
+            return rd.from_arrow(sch.base_schema.empty_table().append_column(
+                "n_tokens_removed", pa.array([], pa.int64())))
 
         def win_rows(t: pa.Table) -> pa.Table:
             ids = t.column(id_col).to_numpy()

@@ -12,8 +12,8 @@ in bounded chunks and shipped into the object store as they arrive.
 At data scale the fan-in belongs upstream of the engine (many source
 partitions); these ops exist for micro-service composability.  The
 ``http_request`` processor is the per-record-RPC enrichment pattern:
-it runs as an ACTOR-POOL ``map_batches`` stage (one connection per
-actor, built in ``__init__``), and its scale-honest mode is
+it runs as a plain-task ``map_batches`` stage (one connection per
+worker process, built in ``__init__``), and its scale-honest mode is
 ``mode="batch"`` — one request per Arrow batch with a JSON-lines body
 — not one request per row.
 
@@ -127,10 +127,10 @@ def build_write_http_client(*, url: str, codec: str = "json",
 
 
 class _HttpRequester:
-    """Actor-pool body of the ``http_request`` processor: one
-    persistent connection per actor (``__init__``), per-batch work in
-    ``__call__`` — the reference's per-record RPC enrichment pattern
-    re-expressed at batch granularity."""
+    """Body of the ``http_request`` processor: one persistent connection
+    per worker process (``__init__``, via :func:`per_process`), per-batch
+    work in ``__call__`` — the reference's per-record RPC enrichment
+    pattern re-expressed at batch granularity."""
 
     def __init__(self, host: str, port: int, path: str, column: str,
                  out: str, mode: str, timeout_s: float):
@@ -171,7 +171,7 @@ class _HttpRequester:
                 "_error", pa.nulls(t.num_rows, pa.string()))
         except (OSError, ValueError, RuntimeError) as e:
             # dead-letter the block (catch/dead_letter_path downstream),
-            # then reconnect so one bad block doesn't poison the actor
+            # then reconnect so one bad block doesn't poison the process
             try:
                 self._conn.close()
             except OSError:
@@ -192,17 +192,21 @@ def build_http_request(*, url: str, column: str, out: str,
     dead-letter the block via ``_error``).  ``mode="batch"`` (default,
     the scale path) sends ONE JSON-lines request per Arrow batch;
     ``mode="row"`` is the reference's literal per-message call — keep
-    ``batch_size`` small if you must use it."""
+    ``batch_size`` small if you must use it.  ``concurrency`` caps the
+    tasks calling the server at once: it bounds the load on an outside
+    service, a deployment setting rather than a pool size."""
     if mode not in ("batch", "row"):
         raise ValueError(f"http_request mode {mode!r} (batch|row)")
     host, port, path = _split_url(url)
 
     def apply(ds):
+        from rayflow.ops.kernels import per_process
+
         return ds.map_batches(
-            _HttpRequester, batch_format="pyarrow",
-            batch_size=batch_size, concurrency=concurrency,
-            fn_constructor_args=(host, port, path, column, out, mode,
-                                 timeout_s))
+            per_process(_HttpRequester, host, port, path, column, out, mode,
+                        timeout_s),
+            batch_format="pyarrow", batch_size=batch_size,
+            concurrency=concurrency)
 
     return apply
 

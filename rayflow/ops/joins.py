@@ -8,7 +8,7 @@ internal/impl/pure/processor_branch.go⟩``).  Ray-Data-native mappings:
 
 - **broadcast_join** — the enrichment lookup: the small side is put in
   the object store ONCE (``ray.put``) and fetched once per worker
-  *process* (module-level cache keyed by object ref), not per batch and
+  *process* (``kernels._fetch``, the per-process memo), not per batch and
   not re-shipped with every task.  The big side streams through a
   vectorized pandas merge per batch as stateless tasks — elastic, and
   no actor pool that could reserve every CPU on a small node.
@@ -29,26 +29,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rayflow.ops import register_op
+from rayflow.ops.kernels import _fetch
 
 _PA_KW = dict(batch_format="pyarrow", zero_copy_batch=True)
 
 #: distinct right-key bytes above which ``sharded_semi`` hash joins.
 SEMI_BROADCAST_BYTES = 64 << 20
-
-#: per-worker-process cache of fetched broadcast objects: ref.hex() → value.
-#: ``ray.get`` on an already-local object is cheap, but the pandas index /
-#: sorted key-set build on top of it is not — cache the derived form.
-_BCAST_CACHE: dict[str, object] = {}
-
-
-def _fetch(ref, derive):
-    import ray
-
-    key = ref.hex()
-    if key not in _BCAST_CACHE:
-        _BCAST_CACHE[key] = derive(ray.get(ref))
-    return _BCAST_CACHE[key]
-
 
 @register_op("broadcast_join")
 def build_broadcast_join(*, small, on: list[str], right_on: list[str] | None = None,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -478,18 +480,55 @@ def shard_exchange(ds, keys, fn, *, batch_format: str = "pyarrow"):
         .groupby(SHARD_COL).map_groups(run, batch_format=batch_format)
 
 
-def clamp_actor_concurrency(requested: int) -> int:
-    """Bound an actor-pool ``map_batches`` concurrency so at least one
-    CPU stays free for the pool's upstream task stage.  A fixed pool of
-    N actors × 1 CPU on an N-CPU cluster starves the feeding
-    ``ReadParquet``/map tasks into a DEADLOCK (measured on Ray 2.49:
-    ``concurrency=2`` + an upstream read on a 2-CPU cluster never
-    completes).  At cluster scale (CPUs ≫ requested) this is the
-    identity."""
+#: The one per-worker-process memo of rayflow's batch functions: the
+#: objects a task builds once per process and reuses across batches —
+#: broadcast values fetched by ref (with what is derived from them, e.g.
+#: a key index) and stage instances (:func:`per_process`).  It is an LRU
+#: of at most :data:`MEMO_ENTRIES` entries: every op build adds keys, and
+#: a long-lived worker process must not keep them all.
+_BCAST_CACHE: dict = {}
+_MEMO_LOCK = threading.Lock()
+MEMO_ENTRIES = 32
+_MISSING = object()
+
+
+def memo(key, build):
+    """``build()`` once per worker process for ``key``, then the cached
+    value (least recently used entries beyond :data:`MEMO_ENTRIES` are
+    dropped).  ``build`` runs outside the lock and may itself call
+    :func:`memo`."""
+    with _MEMO_LOCK:
+        value = _BCAST_CACHE.pop(key, _MISSING)
+    if value is _MISSING:
+        value = build()
+    with _MEMO_LOCK:
+        _BCAST_CACHE[key] = value
+        while len(_BCAST_CACHE) > MEMO_ENTRIES:
+            del _BCAST_CACHE[next(iter(_BCAST_CACHE))]
+    return value
+
+
+def _fetch(ref, derive):
+    """A broadcast object (``ray.put`` once by the driver) as ``derive``
+    makes it, fetched and derived once per worker process."""
     import ray
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 0)) or int(requested)
-    except Exception:
-        return max(1, int(requested))
-    return max(1, min(int(requested), cpus - 1))
+    return memo(ref.hex(), lambda: derive(ray.get(ref)))
+
+
+def per_process(cls, *args, **kwargs):
+    """A stage class as a plain task batch function: each worker process
+    builds one ``cls(*args, **kwargs)`` on its first batch and keeps it in
+    the memo, so setup (fetched broadcasts, a DuckDB connection, a word
+    cache) runs once per process and not once per batch.  No actor pool:
+    the stage fuses with its upstream tasks and reserves no CPU of its
+    own, so it cannot starve the stage that feeds it on a small cluster.
+    The key is unique to this call — one instance per op build."""
+    import uuid
+
+    key = (cls.__qualname__, uuid.uuid4().hex)
+
+    def stage(batch):
+        return memo(key, lambda: cls(*args, **kwargs))(batch)
+
+    return stage

@@ -2,9 +2,9 @@
 
 Media payloads are opaque ``binary`` columns with typed metadata
 (``media_type``, ``width``/``height``/``duration_ms``…).  Decode /
-resize / feature-extract run as actor-pool ``map_batches`` stages with
-SMALL batch sizes (payload bytes × batch_size × concurrency must fit the
-worker heap — the block-sizing rule for wide binary rows).
+resize / feature-extract run as plain-task ``map_batches`` stages with
+SMALL batch sizes (payload bytes × batch_size must fit the worker heap —
+the block-sizing rule for wide binary rows).
 
 Decode is REAL for every image/audio format the engine emits —
 uncompressed 24-bit BMP, PNG (stdlib zlib + the five scanline
@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 
 from rayflow.ops import register_op
+from rayflow.ops.kernels import per_process
 
 #: media table schema: opaque payload + typed metadata.
 MEDIA_SCHEMA = pa.schema([
@@ -182,7 +183,7 @@ def decode_png(payload: bytes) -> np.ndarray:
 def _gif_lzw_decode(data: bytes, min_code_size: int) -> np.ndarray:
     """GIF-variant LZW decompression → uint8 palette-index array.
     Sequential by nature (each code extends the dictionary), so this
-    runs per payload inside the ``media_decode`` actor pool — the
+    runs per payload inside the ``media_decode`` tasks — the
     parallelism axis is payloads, not bytes."""
     clear = 1 << min_code_size
     end_code = clear + 1
@@ -518,9 +519,9 @@ def resize_bilinear(px: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 class MediaResizer:
-    """Actor-pool resize stage: decode → bilinear resize → re-encode
-    as PNG.  Same heap math as :class:`MediaDecoder`: batch bytes ≈
-    payload × batch_size × concurrency must fit the worker.
+    """Resize stage: decode → bilinear resize → re-encode as PNG.  Same
+    heap math as :class:`MediaDecoder`: batch bytes ≈ payload ×
+    batch_size must fit the worker.
 
     All non-payload columns (ids, metadata, whatever the dataset
     carries) pass through unchanged for surviving rows; the payload,
@@ -570,29 +571,25 @@ class MediaResizer:
 def build_media_resize(*, width: int, height: int,
                        payload_col: str = "payload",
                        on_non_image: str = "drop",
-                       batch_size: int = 32, concurrency: int = 2):
-    """Decode → bilinear resize → PNG re-encode as an actor-pool
+                       batch_size: int = 32):
+    """Decode → bilinear resize → PNG re-encode as a plain-task
     ``map_batches`` stage; non-image payloads drop (default) or raise."""
 
     def apply(ds):
         return ds.map_batches(
-            MediaResizer,
-            fn_constructor_kwargs=dict(width=width, height=height,
-                                       payload_col=payload_col,
-                                       on_non_image=on_non_image),
-            batch_size=batch_size,
-            concurrency=concurrency,
-            batch_format="pyarrow",
+            per_process(MediaResizer, width, height, payload_col,
+                        on_non_image),
+            batch_size=batch_size, batch_format="pyarrow",
             zero_copy_batch=True,
-            num_cpus=1,
         )
 
     return apply
 
 
 class MediaDecoder:
-    """Actor-pool decode stage.  Heavy init (codec contexts, model
-    weights) belongs HERE, once per actor — never per batch.
+    """Decode stage.  Heavy init (codec contexts, model weights) belongs
+    in ``__init__``: :func:`per_process` builds one instance per worker
+    process, so it runs once per process — never per batch.
 
     ``fake=True`` (default): deterministic pseudo-features for every
     payload (pipeline plumbing without any codec).  ``fake=False``:
@@ -670,21 +667,16 @@ class MediaDecoder:
 @register_op("media_decode")
 def build_media_decode(*, feature_dim: int = 32, fake: bool = True,
                        fallback_pseudo: bool = False,
-                       batch_size: int = 64, concurrency: int = 2):
+                       batch_size: int = 64):
     """Binary payload → feature vector.  Small ``batch_size`` on purpose:
     batch bytes ≈ payload_size × batch_size must stay well under the
-    worker heap with ``concurrency`` actors resident."""
+    worker heap."""
 
     def apply(ds):
         return ds.map_batches(
-            MediaDecoder,
-            fn_constructor_kwargs=dict(feature_dim=feature_dim, fake=fake,
-                                       fallback_pseudo=fallback_pseudo),
-            batch_size=batch_size,
-            concurrency=concurrency,
-            batch_format="pyarrow",
+            per_process(MediaDecoder, feature_dim, fake, fallback_pseudo),
+            batch_size=batch_size, batch_format="pyarrow",
             zero_copy_batch=True,
-            num_cpus=1,
         )
 
     return apply
@@ -1003,11 +995,11 @@ def synth_real_media_table(n: int, seed: int = 42) -> pa.Table:
 
 @register_op("gif_frames")
 def build_gif_frames(*, payload_col: str = "payload", batch_size: int = 32,
-                     concurrency: int = 2, fallback_skip: bool = False):
+                     fallback_skip: bool = False):
     """REAL animated-frame extraction: explode each GIF payload into one
     row per decoded frame (frame_ms = cumulative delay) with per-frame
     pixel stats — the working form of the ``media_frame_sample`` stub
-    for the one animated container the stdlib can decode.  Actor pool
+    for the one animated container the stdlib can decode.  Plain tasks
     (decode is per-payload sequential LZW); non-GIF payloads raise, or
     are skipped with ``fallback_skip=True``."""
 
@@ -1042,8 +1034,7 @@ def build_gif_frames(*, payload_col: str = "payload", batch_size: int = 32,
             })
 
     def apply(ds):
-        return ds.map_batches(GifFrames, batch_size=batch_size,
-                              concurrency=concurrency,
+        return ds.map_batches(per_process(GifFrames), batch_size=batch_size,
                               batch_format="pyarrow", zero_copy_batch=True)
 
     return apply
@@ -1051,7 +1042,7 @@ def build_gif_frames(*, payload_col: str = "payload", batch_size: int = 32,
 
 @register_op("media_frame_sample")
 def build_media_frame_sample(*, every_ms: int = 1000,
-                             batch_size: int = 16, concurrency: int = 2):
+                             batch_size: int = 16):
     """Video → frame rows: one output row per ``every_ms`` of playback.
 
     REAL frame extraction for the containers that decode natively —
@@ -1059,7 +1050,7 @@ def build_media_frame_sample(*, every_ms: int = 1000,
     active frame's index and pixel stats at each sampled timestamp.
     Other media types still get timestamp-only rows (null
     frame_idx/stats) from the ``duration_ms`` column, so mixed tables
-    keep one schema.  Actor pool: decode is per-payload sequential."""
+    keep one schema.  Plain tasks: decode is per-payload sequential."""
 
     class FrameSampler:
         def __call__(self, t: pa.Table) -> pa.Table:
@@ -1118,15 +1109,15 @@ def build_media_frame_sample(*, every_ms: int = 1000,
             })
 
     def apply(ds):
-        return ds.map_batches(FrameSampler, batch_size=batch_size,
-                              concurrency=concurrency,
+        return ds.map_batches(per_process(FrameSampler),
+                              batch_size=batch_size,
                               batch_format="pyarrow", zero_copy_batch=True)
 
     return apply
 
 
 class AudioFeaturizer:
-    """Actor-pool audio feature extraction: PCM-16 WAV payloads →
+    """Audio feature-extraction stage: PCM-16 WAV payloads →
     (duration_s, sample_rate, n_channels, rms, peak).  One decode per
     row (variable binary), numpy reductions per clip; non-audio /
     unsupported-codec payloads drop (default) or error, mirroring
@@ -1172,9 +1163,9 @@ class AudioFeaturizer:
 def build_audio_features(*, payload_col: str = "payload",
                          id_col: str = "media_id",
                          on_non_audio: str = "drop",
-                         batch_size: int = 64, concurrency: int = 2):
+                         batch_size: int = 64):
     """Audio feature-extract stage (the training-pipeline filter that
-    drops silent/clipped/too-short clips): actor-pool ``map_batches``
+    drops silent/clipped/too-short clips): plain-task ``map_batches``
     over binary WAV payloads → per-clip duration/rate/channels/RMS/peak
     columns; payload column is dropped from the output (features are
     what flows on).  Small batches — payloads are large binaries."""
@@ -1183,15 +1174,10 @@ def build_audio_features(*, payload_col: str = "payload",
 
     def apply(ds):
         return ds.map_batches(
-            AudioFeaturizer,
-            fn_constructor_kwargs=dict(payload_col=payload_col,
-                                       id_col=id_col,
-                                       on_non_audio=on_non_audio),
-            batch_size=batch_size,
-            concurrency=concurrency,
-            batch_format="pyarrow",
+            per_process(AudioFeaturizer, payload_col=payload_col,
+                        id_col=id_col, on_non_audio=on_non_audio),
+            batch_size=batch_size, batch_format="pyarrow",
             zero_copy_batch=True,
-            num_cpus=1,
         )
 
     return apply

@@ -4,8 +4,8 @@ Beyond the reference's operator set (which ends at generic string
 processors), these are the document-pipeline stages a 100 TB corpus run
 needs: token counting, quality scoring, language ID, fingerprinting.
 All per-batch bodies are vectorized Arrow/numpy; the language-ID stage
-is the canonical stateful actor-pool pattern (tables/regexes built once
-per actor in ``__init__``).
+is the stateful-stage pattern (tables/regexes built once per worker
+process in ``__init__``, kept in the ops' per-process memo).
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ _LANG_STOPWORDS = {
 
 
 class LangIdScorer:
-    """Language-ID actor: stopword-ratio heuristic, fully vectorized.
+    """Language-ID stage: stopword-ratio heuristic, fully vectorized.
 
     The stateful-stage archetype (SURVEY.md §2.6): per-language value
-    sets are built ONCE per actor in ``__init__``; ``__call__`` is one
+    sets are built ONCE per instance in ``__init__``; ``__call__`` is one
     flat pass — regex-split tokens, dictionary-encode, stopword
     membership computed on the DICTIONARY (unique tokens only), per-doc
     hits via bincount.  Deterministic: pure function of the text; the
@@ -178,29 +178,20 @@ class LangIdScorer:
                 .append_column("lang_conf", pa.array(conf_list, pa.float64()))
 
 
-def _process_scorer() -> LangIdScorer:
-    """One scorer per worker PROCESS (module-global memo) — the
-    setup-once pattern without a dedicated actor pool: since the
-    vectorized rewrite the per-actor state is tiny, so task-pool
-    map_batches (reusing Ray's warm workers, no actor spin-up) beats
-    ``concurrency=N`` actors by ~1s of fixed latency per execution.
-    Stages with genuinely heavy init (models, indexes) should keep the
-    callable-class actor form — see MediaDecoder."""
-    global _SCORER
-    try:
-        return _SCORER
-    except NameError:
-        _SCORER = LangIdScorer()
-        return _SCORER
-
-
 @register_op("lang_id")
-def build_lang_id(*, concurrency: int | None = None, batch_size: int = 2048):
+def build_lang_id(*, batch_size: int = 2048):
+    """Per-row language id as plain tasks: one :class:`LangIdScorer` per
+    worker PROCESS, kept in the ops' per-process memo
+    (:func:`rayflow.ops.kernels.memo`) — reusing Ray's warm workers, no
+    actor spin-up, which beat ``concurrency=N`` actors by ~1 s of fixed
+    latency per execution."""
+    from rayflow.ops.kernels import memo
+
     def apply(ds):
-        kw = {} if concurrency is None else {"concurrency": concurrency}
         return ds.map_batches(
-            lambda t: _process_scorer()(t), batch_size=batch_size,
-            batch_format="pyarrow", zero_copy_batch=True, **kw,
+            lambda t: memo(LangIdScorer, LangIdScorer)(t),
+            batch_size=batch_size, batch_format="pyarrow",
+            zero_copy_batch=True,
         )
 
     return apply
@@ -343,7 +334,7 @@ def build_ngram_lm_score(*, text_col: str = "text", id_col: str = "doc_id",
 
         from rayflow.ops import build_op
         from rayflow.ops.curation import _tokenize_codes
-        from rayflow.ops.joins import _fetch
+        from rayflow.ops.kernels import _fetch
         from rayflow.ops.kernels import collect_table
 
         def count_partial(t: pa.Table) -> pa.Table:

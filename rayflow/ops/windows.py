@@ -197,7 +197,7 @@ def build_late_filter(*, ts_col: str, keys: list[str] | None = None,
             late_us = int(allowed_lateness_s * 1e6)
 
             def fn(t: pa.Table) -> pa.Table:
-                from rayflow.ops.joins import _fetch
+                from rayflow.ops.kernels import _fetch
 
                 def derive(tbl):
                     cut = pc.subtract(
@@ -281,7 +281,7 @@ def build_window_session(*, keys: list[str], ts_col: str, gap_s: float,
         import pandas as pd
         import ray
 
-        from rayflow.ops.joins import _fetch
+        from rayflow.ops.kernels import _fetch
         from rayflow.ops.kernels import collect_table
 
         bs_us = float(bucket_s if bucket_s is not None

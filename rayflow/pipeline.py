@@ -244,8 +244,9 @@ def build_sql_query(*, sql: str, tables: dict[str, str] | None = None):
 
 
 class _SqlBatch:
-    """Actor-pool stage: one DuckDB connection per actor (heavy init
-    once), each Arrow batch registered zero-copy as view ``batch``."""
+    """Per-batch SQL stage: one DuckDB connection per instance (one
+    instance per worker process, :func:`rayflow.ops.kernels.per_process`),
+    each Arrow batch registered zero-copy as view ``batch``."""
 
     def __init__(self, sql: str):
         import duckdb
@@ -262,8 +263,7 @@ class _SqlBatch:
 
 
 @register_op("sql_batch")
-def build_sql_batch(*, sql: str, concurrency: int = 2,
-                    batch_size: int | None = None):
+def build_sql_batch(*, sql: str, batch_size: int | None = None):
     """Per-batch SQL processor (the ``sql_select``/``sql_raw``
     PROCESSOR analogue, network-free): each zero-copy Arrow batch is
     exposed to an embedded DuckDB as view ``batch`` and replaced by the
@@ -275,18 +275,13 @@ def build_sql_batch(*, sql: str, concurrency: int = 2,
     apply per batch, not globally — global versions belong to
     ``group_agg``/``sort``/``dedupe``.  The same contract the reference
     documents for its processor-level SQL."""
+    from rayflow.ops.kernels import per_process
 
     def apply(ds):
-        kw = dict(
-            fn_constructor_kwargs=dict(sql=sql),
-            concurrency=concurrency,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            num_cpus=1,
-        )
-        if batch_size is not None:
-            kw["batch_size"] = batch_size
-        return ds.map_batches(_SqlBatch, **kw)
+        kw = {} if batch_size is None else {"batch_size": batch_size}
+        return ds.map_batches(per_process(_SqlBatch, sql),
+                              batch_format="pyarrow", zero_copy_batch=True,
+                              **kw)
 
     return apply
 
@@ -406,7 +401,7 @@ def build_export_partitioned(*, path: str, partition_col: str):
             done_ref = ray.put(pa.array(sorted(done)))
 
             def drop_done(t: pa.Table) -> pa.Table:
-                from rayflow.ops.joins import _fetch
+                from rayflow.ops.kernels import _fetch
 
                 vals = _fetch(done_ref, lambda v: v)
                 key = pc.cast(t[partition_col], pa.string())
@@ -496,7 +491,7 @@ def build_export_partitioned(*, path: str, partition_col: str):
 #   keyed        ONE keyed exchange (two-phase partials where possible)
 #   broadcast    small side shipped once via ray.put; fact never moves
 #   global       all-to-all barrier (sort / repartition / shuffle)
-#   actor        stateful actor pool (cache / rate limit / media)
+#   actor        calls a named service actor (cache / rate limit)
 #   source/sink  read or write boundary
 #   driver       composition that owns its own sub-plan (see docstring)
 EXCHANGE_CLASS: dict[str, str] = {
@@ -515,7 +510,9 @@ EXCHANGE_CLASS: dict[str, str] = {
         "format_protobuf", "format_parquet", "late_filter",
         "window_tumbling", "window_sliding", "sql_batch", "catch",
         "switch", "branch", "sample", "limit", "jaccard_block_pairs",
-        "json_schema", "gif_frames",
+        "json_schema", "gif_frames", "cached_mapping", "media_decode",
+        "media_probe", "media_resize", "media_frame_sample",
+        "audio_features", "subprocess_map", "http_request",
     )},
     **{n: "keyed" for n in (
         "group_agg", "group_topk", "group_percentile",
@@ -543,12 +540,7 @@ EXCHANGE_CLASS: dict[str, str] = {
         "ann_pq", "pq_encode",
     )},
     **{n: "global" for n in ("sort", "repartition", "union")},
-    **{n: "actor" for n in (
-        "cache_get", "cache_set", "cached_mapping", "rate_limit",
-        "media_decode", "media_probe", "media_resize",
-        "media_frame_sample", "audio_features", "subprocess_map",
-        "http_request",
-    )},
+    **{n: "actor" for n in ("cache_get", "cache_set", "rate_limit")},
     **{n: "source/sink" for n in (
         "read_parquet", "read_csv", "read_json", "read_text",
         "generate", "sql_query", "write_parquet", "write_json", "write_csv",

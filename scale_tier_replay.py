@@ -252,7 +252,8 @@ def main() -> None:
     ap.add_argument("--scale", type=int, default=5,
                     help="multiple of the sf0.1 bench fixture (default 5)")
     ap.add_argument("--cpus", type=int,
-                    default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+                    default=int(os.environ.get(
+                        "RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))))
     ap.add_argument("--skip-oracle", action="store_true")
     ap.add_argument("--evolve-seg", type=int, default=None, metavar="K",
                     help="schema-evolve the payload (V2 column) from "

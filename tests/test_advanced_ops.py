@@ -270,7 +270,7 @@ def test_cached_mapping_memoizes(ray_session):
 
     tbl = pa.table({"s": pa.array(["abc", "abc", "xyz", "abc", None])})
     out = build_op({"op": "cached_mapping", "key_expr": E.col("s"),
-                    "fn_name": "hash_md5", "out": "h", "concurrency": 1})(
+                    "fn_name": "hash_md5", "out": "h"})(
         rd.from_arrow(tbl)).to_pandas()
     import hashlib
 

@@ -247,8 +247,8 @@ def test_audio_features_decode_g711_payload(ray_session):
             synth_wav(16000, 1, sig[:, None], encoding="adpcm")],
             pa.binary()),
     })
-    out = build_op({"op": "audio_features", "batch_size": 2,
-                    "concurrency": 1})(rd.from_arrow(tbl)).to_pandas()
+    out = build_op({"op": "audio_features", "batch_size": 2})(
+        rd.from_arrow(tbl)).to_pandas()
     assert len(out) == 2                    # neither payload dropped
     assert (out["sample_rate"] == 16000).all()
     assert (out["n_channels"] == 1).all()

@@ -121,6 +121,42 @@ def test_lineage_and_metrics(changelog, tmp_path):
     assert e.manifest.committed_lsn == info["max_lsn"]
 
 
+def test_invalid_rows_counted_in_lineage(ray_session, tmp_path):
+    """Envelope-invalid rows (an unknown ``op``, a null ``turn_idx``)
+    are dropped AND counted: the lake equals the oracle over the valid
+    rows, and the commit's lineage says how many rows were dropped."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from rayflow.cdc.source import list_bands
+
+    log_dir = str(tmp_path / "log")
+    generate_changelog(log_dir, ChangeLogSpec(n_convs=30, n_bands=2, seed=3))
+    path = list_bands(log_dir, after_lsn=-1)[0].files[0]
+    t = pq.read_table(path)
+    op = t["op"].to_pylist()
+    op[0] = "upsert"
+    turn = t["turn_idx"].to_pylist()
+    turn[1] = None
+    t = t.set_column(t.schema.get_field_index("op"), "op",
+                     pa.array(op, t["op"].type))
+    t = t.set_column(t.schema.get_field_index("turn_idx"), "turn_idx",
+                     pa.array(turn, t["turn_idx"].type))
+    pq.write_table(t, path)
+
+    e = CdcEngine(str(tmp_path / "lake"), num_partitions=4)
+    stats = e.replay(log_dir, bands_per_commit=2)
+    assert [rec["n_invalid"] for rec in stats.lineage] == [2]
+    assert e.lineage_table()["n_invalid"].to_pylist() == [2]
+
+    changes = read_changelog_pandas(log_dir)
+    valid = changes[changes["op"].isin(["insert", "update", "delete"])
+                    & changes["turn_idx"].notna()].copy()
+    assert len(valid) == len(changes) - 2
+    valid["turn_idx"] = valid["turn_idx"].astype("int64")
+    _assert_equal(_engine_result(e), lww_oracle(valid))
+
+
 def test_compact_and_vacuum(changelog, tmp_path):
     """Compaction folds mixed-schema files to the unified schema and
     vacuum removes superseded state versions; final data unchanged."""
@@ -325,13 +361,9 @@ def test_changes_between_schema_evolved_log(ray_session, tmp_path):
     assert feed[feed["lsn"] >= 120]["meta_model"].notna().any()
 
 
-@pytest.mark.parametrize("placement", ["group_spread", "group_pack",
-                                       "default"])
-def test_merge_placement_modes_agree(changelog, tmp_path, placement):
-    """The merge-actor pool, under every placement strategy and fed by
-    RouteToPool, writes the same partition state files as replay's
-    in-process merge (single-node here — validates the API path and
-    that the placement group is reserved and released)."""
+def test_merge_pool_matches_replay(changelog, tmp_path):
+    """The merge-actor pool, fed by RouteToPool, writes the same
+    partition state files as replay's in-process merge."""
     import pyarrow.parquet as pq
 
     from rayflow.cdc.merge import NormalizeChanges
@@ -343,7 +375,7 @@ def test_merge_placement_modes_agree(changelog, tmp_path, placement):
     e.replay(log_dir, bands_per_commit=SPEC.n_bands)   # one commit group
     salts = {k: int(v) for k, v in e.manifest.state.get("salts", {}).items()}
     normalize = NormalizeChanges(e.manifest.schema, 4, salts)
-    pool = MergePool(2, placement=placement)
+    pool = MergePool(2)
     try:
         route = RouteToPool(pool.actors, pool.num_actors)
         for b in list_bands(log_dir, after_lsn=-1):
@@ -359,13 +391,6 @@ def test_merge_placement_modes_agree(changelog, tmp_path, placement):
     for pid, path in want.items():
         assert os.path.basename(got[pid]) == os.path.basename(path)
         assert pq.read_table(got[pid]).equals(pq.read_table(path))
-
-
-def test_merge_placement_unknown_raises():
-    from rayflow.cdc.streaming import MergePool
-
-    with pytest.raises(ValueError, match="unknown placement"):
-        MergePool(2, placement="rack_local")
 
 
 def test_concurrent_commit_detected(tmp_path):

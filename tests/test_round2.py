@@ -291,27 +291,6 @@ def test_ivf_index_prunes_and_matches(ray_session, tmp_path):
     assert a.equals(b), (a.head(), b.head())
 
 
-# -- metric counters land in replay lineage ---------------------------------
-
-
-def test_replay_lineage_has_metrics(ray_session, tmp_path):
-    from rayflow.cdc import CdcEngine, ChangeLogSpec, generate_changelog
-
-    log = str(tmp_path / "log")
-    generate_changelog(log, ChangeLogSpec(
-        n_convs=40, turns_per_conv=4.0, update_ratio=0.5, delete_ratio=0.05,
-        zipf_s=1.2, n_source_partitions=2, n_bands=2, seed=7))
-    engine = CdcEngine(str(tmp_path / "lake"), num_partitions=4, auto_salt=False)
-    stats = engine.replay(log)
-    assert stats.lineage, "no lineage records"
-    for rec in stats.lineage:
-        assert rec.get("metrics"), rec
-        assert rec["metrics"].get("replay.events", 0) > 0
-    # counters accumulate monotonically across bands
-    evs = [r["metrics"]["replay.events"] for r in stats.lineage]
-    assert evs == sorted(evs)
-
-
 # -- XML / serde stubs / batch policy ---------------------------------------
 
 

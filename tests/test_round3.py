@@ -559,7 +559,7 @@ def test_media_decode_handles_gif(ray_session):
 
     tbl = synth_real_media_table(12, seed=5)
     out = build_op({"op": "media_decode", "feature_dim": 16, "fake": False,
-                    "batch_size": 8, "concurrency": 2})(
+                    "batch_size": 8})(
         rd.from_arrow(tbl)).to_pandas()
     g = out[out["media_type"] == "image/gif"]
     assert len(g) > 0

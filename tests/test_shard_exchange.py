@@ -146,6 +146,7 @@ _EMPTY_CASES = [
     {"op": "group_hll", "keys": ["k"], "column": "t"},
     {"op": "paragraph_dedup"},
     {"op": "group_cap", "key_col": "k", "order_col": "t", "n": 2},
+    {"op": "dup_span_remove"},
 ]
 
 
@@ -164,3 +165,18 @@ def test_coarse_shard_ops_accept_empty_input(ray_session, conf):
         "doc_id": pa.array([], pa.int64()),
         "text": pa.array([], pa.string())})
     assert build_op(conf)(rd.from_arrow(empty)).count() == 0
+
+
+def test_dup_span_remove_empty_input_is_typed(ray_session):
+    """An empty corpus comes back empty with the input columns plus
+    ``n_tokens_removed`` (its final join used to raise ``ArrowInvalid``
+    on column-less blocks)."""
+    import ray.data as rd
+
+    from rayflow.ops import build_op
+
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "text": pa.array([], pa.string())})
+    out = build_op({"op": "dup_span_remove"})(rd.from_arrow(empty))
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id", "text", "n_tokens_removed"]

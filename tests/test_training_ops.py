@@ -157,12 +157,12 @@ def test_media_decode_stub(ray_session):
     tbl = synth_media_table(50, seed=42)
     ds = rd.from_arrow(tbl)
     out = build_op({"op": "media_decode", "feature_dim": 16,
-                    "batch_size": 8, "concurrency": 2})(ds).to_pandas()
+                    "batch_size": 8})(ds).to_pandas()
     assert len(out) == 50
     assert all(len(f) == 16 for f in out["feature"])
     # deterministic: same payload → same features
     out2 = build_op({"op": "media_decode", "feature_dim": 16,
-                     "batch_size": 8, "concurrency": 2})(ds).to_pandas()
+                     "batch_size": 8})(ds).to_pandas()
     f1 = out.sort_values("media_id")["feature"].tolist()
     f2 = out2.sort_values("media_id")["feature"].tolist()
     assert all(np.allclose(a, b) for a, b in zip(f1, f2))
@@ -308,7 +308,7 @@ def test_media_decode_real_path(ray_session):
     tbl = synth_real_media_table(20, seed=9)
     ds = rd.from_arrow(tbl)
     out = build_op({"op": "media_decode", "feature_dim": 16, "fake": False,
-                    "batch_size": 8, "concurrency": 2})(ds).to_pandas() \
+                    "batch_size": 8})(ds).to_pandas() \
         .sort_values("media_id", ignore_index=True)
     assert len(out) == 20
     assert all(len(f) == 16 for f in out["feature"])
@@ -333,8 +333,8 @@ def test_media_decode_fallback_pseudo(ray_session):
     # pipe flowing for corrupt payloads and absent codecs alike
     ds = rd.from_arrow(synth_media_table(10, seed=2))
     out = build_op({"op": "media_decode", "feature_dim": 8, "fake": False,
-                    "fallback_pseudo": True, "batch_size": 8,
-                    "concurrency": 2})(ds).to_pandas()
+                    "fallback_pseudo": True, "batch_size": 8})(
+        ds).to_pandas()
     assert len(out) == 10
     assert all(len(f) == 8 for f in out["feature"])
 
